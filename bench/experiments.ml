@@ -1217,7 +1217,8 @@ let check_sweep () =
         let result, dt =
           Report.timed (fun () ->
               without_metrics_capture (fun () ->
-                  Vcheck.Checker.sweep ~depth ~limit ~domains:!domains ()))
+                  Vcheck.Checker.sweep ~depth ~limit ~domains:!domains
+                    Vcheck.Checker.fault))
         in
         match result with
         | Error _ -> failwith "check_sweep: baseline workload violated"

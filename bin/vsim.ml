@@ -374,49 +374,48 @@ let check_cmd =
                    deterministic and byte-identical for any --domains \
                    value.")
   in
+  (* Mode flags: each combination names one Checker.modes entry. *)
+  let mode name doc = Arg.(value & flag & info [ name ] ~doc) in
   let crash =
-    Arg.(value & flag
-         & info [ "crash" ]
-             ~doc:"Sweep host crash points instead of network faults: \
-                   crash + restart the file-server host at every baseline \
-                   frame (depth 1), paired with one network fault at every \
-                   other frame at depth 2, over the journaled-recovery \
-                   workload.  Replays of schedules containing crash/restart \
-                   entries select this workload automatically.")
+    mode "crash"
+      "Sweep host crash points instead of network faults: \
+        crash + restart the file-server host at every baseline \
+        frame (depth 1), paired with one network fault at every \
+        other frame at depth 2, over the journaled-recovery \
+        workload.  Replays of schedules containing crash/restart \
+        entries select this workload automatically."
   in
   let shared =
-    Arg.(value & flag
-         & info [ "shared" ]
-             ~doc:"Sweep the two-client shared-file coherence workload \
-                   instead: both clients cache through the lease/callback \
-                   protocol of doc/LEASES.md, and every read must observe \
-                   the latest acknowledged write (no stale reads), with \
-                   reopen-under-lease costing zero server requests.  \
-                   Composes with --crash to script file-server crash + \
-                   restart points instead of network faults, and with \
-                   --repro to replay a schedule against this workload.")
+    mode "shared"
+      "Sweep the two-client shared-file coherence workload \
+        instead: both clients cache through the lease/callback \
+        protocol of doc/LEASES.md, and every read must observe \
+        the latest acknowledged write (no stale reads), with \
+        reopen-under-lease costing zero server requests.  \
+        Composes with --crash to script file-server crash + \
+        restart points instead of network faults, and with \
+        --repro to replay a schedule against this workload."
   in
   let inet =
-    Arg.(value & flag
-         & info [ "inet" ]
-             ~doc:"Sweep the cross-segment internetwork workload instead: \
-                   a client on a 3 Mb segment reaching an echo service and \
-                   a file server on a 10 Mb segment through a \
-                   store-and-forward gateway (doc/INTERNETWORK.md).  \
-                   Network faults act on the client's segment; with \
-                   --crash the schedule crashes + restarts the GATEWAY, \
-                   partitioning the segments until it returns.  Composes \
-                   with --repro.")
+    mode "inet"
+      "Sweep the cross-segment internetwork workload instead: \
+        a client on a 3 Mb segment reaching an echo service and \
+        a file server on a 10 Mb segment through a \
+        store-and-forward gateway (doc/INTERNETWORK.md).  \
+        Network faults act on the client's segment; with \
+        --crash the schedule crashes + restarts the GATEWAY, \
+        partitioning the segments until it returns.  Composes \
+        with --repro."
   in
   let failover =
-    Arg.(value & flag
-         & info [ "failover" ]
-             ~doc:"Sweep the sharded-service failover workload instead: \
-                   crash-STOP the shard-A primary at every baseline frame \
-                   (paired with one network fault at depth 2) and demand \
-                   the standby replica takes the shard over with no \
-                   acknowledged write lost (doc/INTERNETWORK.md).  \
-                   Composes with --repro.")
+    mode "failover"
+      "Sweep the sharded-service failover workload instead: \
+        crash-STOP the shard-A primary at every baseline frame \
+        (paired with one network fault at depth 2) and demand \
+        the standby replica takes the shard over with no \
+        acknowledged write lost (doc/INTERNETWORK.md).  \
+        Failover is crash-only, so --crash is implied.  Composes \
+        with --repro."
   in
   let print_violations vs =
     List.iter
@@ -427,93 +426,49 @@ let check_cmd =
   let run spec depth limit repro emit json crash shared inet failover =
     Spec.with_obs spec @@ fun () ->
     let seed = spec.Spec.seed in
+    let fail msg =
+      Format.eprintf "vsim check: %s@." msg;
+      exit 2
+    in
+    let scenario ~crash =
+      List.filter_map
+        (fun (on, flag) -> if on then Some flag else None)
+        [
+          (crash, "--crash");
+          (shared, "--shared");
+          (inet, "--inet");
+          (failover, "--failover");
+        ]
+      |> Vcheck.Checker.resolve
+      |> Result.fold ~ok:Fun.id ~error:fail
+    in
     match repro with
     | Some path -> (
         let text = In_channel.with_open_text path In_channel.input_all in
         match Vcheck.Schedule.of_string text with
-        | Error e ->
-            Format.eprintf "vsim check: %s@." e;
-            exit 2
+        | Error e -> fail e
         | Ok s -> (
-            let has_crash =
-              List.exists
-                (fun e ->
-                  match e.Vcheck.Schedule.action with
-                  | Vcheck.Schedule.Crash | Vcheck.Schedule.Restart _ -> true
-                  | Vcheck.Schedule.Net _ -> false)
-                s
-            in
+            let fault = Vcheck.Schedule.to_fault s in
+            (* Crash entries select the crash variant of the workload. *)
+            let has_crash = fault.Vnet.Fault.host_events <> [] in
+            let (Vcheck.Scenario.T sc) = scenario ~crash:(crash || has_crash) in
             Format.printf "replaying schedule: %a@." Vcheck.Schedule.pp s;
-            let vs =
-              if failover then begin
-                let report =
-                  Vcheck.Failover_workload.run
-                    ~fault:(Vcheck.Schedule.to_fault s) ?seed ()
-                in
-                Format.printf "@[<v>%a@]@." Vcheck.Checker.pp_failover_report
-                  report;
-                Vcheck.Checker.failover_violations_of report
-              end
-              else if inet then begin
-                let report =
-                  Vcheck.Inet_workload.run ~fault:(Vcheck.Schedule.to_fault s)
-                    ?seed ()
-                in
-                Format.printf "@[<v>%a@]@." Vcheck.Checker.pp_inet_report
-                  report;
-                Vcheck.Checker.inet_violations_of report
-              end
-              else if shared then begin
-                let report =
-                  Vcheck.Shared_workload.run
-                    ~fault:(Vcheck.Schedule.to_fault s) ?seed ()
-                in
-                Format.printf "@[<v>%a@]@." Vcheck.Checker.pp_shared_report
-                  report;
-                Vcheck.Checker.shared_violations_of report
-              end
-              else if crash || has_crash then begin
-                let report =
-                  Vcheck.Crash_workload.run
-                    ~fault:(Vcheck.Schedule.to_fault s) ?seed ()
-                in
-                Format.printf "@[<v>%a@]@." Vcheck.Checker.pp_crash_report
-                  report;
-                Vcheck.Checker.crash_violations_of report
-              end
-              else begin
-                let report =
-                  Vcheck.Workload.run ~fault:(Vcheck.Schedule.to_fault s)
-                    ?seed ()
-                in
-                Format.printf "@[<v>%a@]@." Vcheck.Checker.pp_report report;
-                Vcheck.Checker.violations_of report
-              end
-            in
-            match vs with
+            let report = sc.run ~fault ?seed () in
+            Format.printf "@[<v>%a@]@." sc.pp report;
+            match sc.violations report with
             | [] -> Format.printf "no invariant violations@."
             | vs ->
                 print_violations vs;
                 exit 1))
     | None -> (
-        let result =
-          if failover then
-            Vcheck.Checker.sweep_failover ~depth ~limit ?seed
-              ~domains:spec.Spec.domains ()
-          else if inet then
-            Vcheck.Checker.sweep_inet ~crash ~depth ~limit ?seed
-              ~domains:spec.Spec.domains ()
-          else if shared then
-            Vcheck.Checker.sweep_shared ~crash ~depth ~limit ?seed
-              ~domains:spec.Spec.domains ()
-          else if crash then
-            Vcheck.Checker.sweep_crash ~depth ~limit ?seed
-              ~domains:spec.Spec.domains ()
-          else
-            Vcheck.Checker.sweep ~depth ~limit ?seed
-              ~domains:spec.Spec.domains ()
-        in
-        match result with
+        let sc = scenario ~crash in
+        Vcheck.Checker.validate sc ~depth ~limit
+        |> Result.iter_error (fun e ->
+               fail (Vcheck.Checker.invalid_to_string e));
+        match
+          Vcheck.Checker.sweep ~depth ~limit ?seed ~domains:spec.Spec.domains
+            sc
+        with
         | Error vs ->
             Format.printf "the unfaulted baseline run violates invariants:@.";
             print_violations vs;
@@ -524,26 +479,14 @@ let check_cmd =
         | Ok r -> (
             Format.printf "baseline workload: %d frames, %d operations@."
               r.Vcheck.Checker.baseline_frames
-              (if failover then Vcheck.Failover_workload.op_count
-               else if inet then Vcheck.Inet_workload.op_count
-               else if shared then Vcheck.Shared_workload.op_count
-               else if crash then Vcheck.Crash_workload.op_count
-               else Vcheck.Workload.op_count);
+              (Vcheck.Scenario.op_count sc);
             match r.Vcheck.Checker.failure with
             | None ->
                 Format.printf
                   "explored %d %s schedules (depth <= %d): no invariant \
                    violations@."
                   r.Vcheck.Checker.schedules_run
-                  (if failover then "crash-stop failover"
-                   else
-                     match (inet, shared, crash) with
-                     | true, _, true -> "internetwork gateway-crash"
-                     | true, _, false -> "internetwork fault"
-                     | false, true, true -> "shared-coherence crash"
-                     | false, true, false -> "shared-coherence fault"
-                     | false, false, true -> "crash"
-                     | false, false, false -> "fault")
+                  (Vcheck.Scenario.label sc)
                   depth
             | Some f ->
                 Format.printf "violation at schedule %d of the sweep@."

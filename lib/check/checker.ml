@@ -1,76 +1,94 @@
-type violation = { invariant : string; detail : string }
+module K = Vkernel.Kernel
+
+type violation = Scenario.violation = { invariant : string; detail : string }
 
 let pp_violation fmt v =
   Format.fprintf fmt "%s: %s" v.invariant v.detail
 
-(* Shared across all workloads: protocol tables must be empty at
-   quiescence, and each medium's frame accounting must balance. *)
-let kernel_violations ~add (kernels : Workload.kernel_probe list) =
+(* Every judge has the same frame.  First: the run quiesced, every
+   operation succeeded, and a run that quiesced ran all [op_count] of
+   them.  Then [f] adds the scenario's own findings through [add].  Last,
+   the checks shared by all workloads: protocol tables must be empty at
+   quiescence, and each labelled medium's frame accounting must
+   balance. *)
+let judge ~completed ~events ~op_count ~kernels ~media
+    (ops : Scenario.op_result list) f =
+  let vs = ref [] in
+  let add invariant detail = vs := { invariant; detail } :: !vs in
+  if not completed then
+    add "termination"
+      (Printf.sprintf "run did not quiesce cleanly (%d events executed)"
+         events);
   List.iter
-    (fun (p : Workload.kernel_probe) ->
-      let t = p.Workload.tables in
+    (fun (o : Scenario.op_result) ->
+      if not o.ok then
+        add "op-result" (Printf.sprintf "%s failed (%s)" o.op o.detail))
+    ops;
+  if completed && List.length ops < op_count then
+    add "op-result"
+      (Printf.sprintf "only %d of %d operations ran" (List.length ops)
+         op_count);
+  f add;
+  List.iter
+    (fun (p : Scenario.kernel_probe) ->
+      let t = p.tables in
       let leak name n =
         if n <> 0 then
           add "table-drain"
-            (Printf.sprintf "host %d: %d %s left at quiescence"
-               p.Workload.host n name)
+            (Printf.sprintf "host %d: %d %s left at quiescence" p.host n name)
       in
-      leak "live aliens" t.Vkernel.Kernel.aliens_live;
-      leak "incomplete mt_ins" t.Vkernel.Kernel.mt_ins_incomplete;
-      leak "mt_outs" t.Vkernel.Kernel.mt_outs_pending;
-      leak "mf_outs" t.Vkernel.Kernel.mf_outs_pending;
-      leak "getpid waits" t.Vkernel.Kernel.getpid_pending;
-      leak "blocked senders" t.Vkernel.Kernel.sends_blocked)
-    kernels
+      leak "live aliens" t.K.aliens_live;
+      leak "incomplete mt_ins" t.K.mt_ins_incomplete;
+      leak "mt_outs" t.K.mt_outs_pending;
+      leak "mf_outs" t.K.mf_outs_pending;
+      leak "getpid waits" t.K.getpid_pending;
+      leak "blocked senders" t.K.sends_blocked)
+    kernels;
+  List.iter
+    (fun (label, (m : Vnet.Medium.stats)) ->
+      if m.targeted + m.duplicated <> m.delivered + m.dropped then
+        add "conservation"
+          (Printf.sprintf
+             "%s: targeted %d + duplicated %d <> delivered %d + dropped %d"
+             label m.targeted m.duplicated m.delivered m.dropped))
+    media;
+  List.rev !vs
 
-let medium_conservation ~add ?(label = "medium") (m : Vnet.Medium.stats) =
-  let open Vnet.Medium in
-  if m.targeted + m.duplicated <> m.delivered + m.dropped then
-    add "conservation"
-      (Printf.sprintf
-         "%s: targeted %d + duplicated %d <> delivered %d + dropped %d" label
-         m.targeted m.duplicated m.delivered m.dropped)
+let segments media =
+  List.mapi (fun i m -> (Printf.sprintf "segment %d" i, m)) media
 
-let kernel_and_medium_violations ~add (kernels : Workload.kernel_probe list)
-    (m : Vnet.Medium.stats) =
-  kernel_violations ~add kernels;
-  medium_conservation ~add m
+(* The block audit's findings, for the workloads that write through a
+   journaled file system and crash its server. *)
+let block_violations ~add ~acked_lost ~torn ~fsck =
+  List.iter
+    (fun b ->
+      add "durability" (Printf.sprintf "acknowledged write to block %d lost" b))
+    acked_lost;
+  List.iter
+    (fun b ->
+      add "atomicity"
+        (Printf.sprintf "block %d torn: neither old nor new image" b))
+    torn;
+  List.iter (fun msg -> add "fs-consistent" msg) fsck
 
 (* Judge one run report against the paper's claims.  A depth-2 schedule
    can force at most a few retransmissions, far under max_retries, so
    under any such schedule every operation must still succeed. *)
 let violations_of (r : Workload.report) =
-  let vs = ref [] in
-  let add invariant detail = vs := { invariant; detail } :: !vs in
-  if not r.Workload.completed then
-    add "termination"
-      (Printf.sprintf "run did not quiesce cleanly (%d events executed)"
-         r.Workload.events);
-  List.iter
-    (fun (o : Workload.op_result) ->
-      if not o.Workload.ok then
-        add "op-result"
-          (Printf.sprintf "%s failed (%s)" o.Workload.op o.Workload.detail))
-    r.Workload.ops;
-  if r.Workload.completed && List.length r.Workload.ops < Workload.op_count
-  then
-    add "op-result"
-      (Printf.sprintf "only %d of %d operations ran"
-         (List.length r.Workload.ops) Workload.op_count);
+  judge ~completed:r.completed ~events:r.events ~op_count:Workload.op_count
+    ~kernels:r.kernels ~media:[ ("medium", r.medium) ] r.ops
+  @@ fun add ->
   List.iter
     (fun (name, n) ->
       if n <> 1 then
         add "exactly-once"
           (Printf.sprintf "server %s applied %d times (want 1)" name n))
-    r.Workload.ledger;
-  if r.Workload.pages_written <> 1 then
+    r.ledger;
+  if r.pages_written <> 1 then
     add "exactly-once"
-      (Printf.sprintf "file server wrote %d pages (want 1)"
-         r.Workload.pages_written);
-  if r.Workload.completed && not r.Workload.file_ok then
-    add "data" "server-side file bytes differ from the client's write";
-  kernel_and_medium_violations ~add r.Workload.kernels r.Workload.medium;
-  List.rev !vs
+      (Printf.sprintf "file server wrote %d pages (want 1)" r.pages_written);
+  if r.completed && not r.file_ok then
+    add "data" "server-side file bytes differ from the client's write"
 
 (* Judge one crash run.  The three crash-specific invariants the
    journal + recovery machinery must uphold:
@@ -83,40 +101,11 @@ let violations_of (r : Workload.report) =
    Termination and per-op success still apply: every enumerated crash
    comes with a restart, so the client must eventually finish. *)
 let crash_violations_of (r : Crash_workload.report) =
-  let vs = ref [] in
-  let add invariant detail = vs := { invariant; detail } :: !vs in
-  if not r.Crash_workload.completed then
-    add "termination"
-      (Printf.sprintf "run did not quiesce cleanly (%d events executed)"
-         r.Crash_workload.events);
-  List.iter
-    (fun (o : Crash_workload.op_result) ->
-      if not o.Crash_workload.ok then
-        add "op-result"
-          (Printf.sprintf "%s failed (%s)" o.Crash_workload.op
-             o.Crash_workload.detail))
-    r.Crash_workload.ops;
-  if
-    r.Crash_workload.completed
-    && List.length r.Crash_workload.ops < Crash_workload.op_count
-  then
-    add "op-result"
-      (Printf.sprintf "only %d of %d operations ran"
-         (List.length r.Crash_workload.ops)
-         Crash_workload.op_count);
-  List.iter
-    (fun b ->
-      add "durability" (Printf.sprintf "acknowledged write to block %d lost" b))
-    r.Crash_workload.acked_lost;
-  List.iter
-    (fun b ->
-      add "atomicity"
-        (Printf.sprintf "block %d torn: neither old nor new image" b))
-    r.Crash_workload.torn;
-  List.iter (fun msg -> add "fs-consistent" msg) r.Crash_workload.fsck;
-  kernel_and_medium_violations ~add r.Crash_workload.kernels
-    r.Crash_workload.medium;
-  List.rev !vs
+  judge ~completed:r.completed ~events:r.events
+    ~op_count:Crash_workload.op_count ~kernels:r.kernels
+    ~media:[ ("medium", r.medium) ] r.ops
+  @@ fun add ->
+  block_violations ~add ~acked_lost:r.acked_lost ~torn:r.torn ~fsck:r.fsck
 
 (* Judge one shared-file coherence run.  The invariant this workload
    exists for is {e no-stale-read}: every read in the script must
@@ -126,37 +115,17 @@ let crash_violations_of (r : Crash_workload.report) =
    when client A's reopen happened under a still-valid lease, it must
    have cost zero server requests. *)
 let shared_violations_of (r : Shared_workload.report) =
-  let vs = ref [] in
-  let add invariant detail = vs := { invariant; detail } :: !vs in
-  if not r.Shared_workload.completed then
-    add "termination"
-      (Printf.sprintf "run did not quiesce cleanly (%d events executed)"
-         r.Shared_workload.events);
-  List.iter
-    (fun (o : Shared_workload.op_result) ->
-      if not o.Shared_workload.ok then
-        add "op-result"
-          (Printf.sprintf "%s failed (%s)" o.Shared_workload.op
-             o.Shared_workload.detail))
-    r.Shared_workload.ops;
-  if
-    r.Shared_workload.completed
-    && List.length r.Shared_workload.ops < Shared_workload.op_count
-  then
-    add "op-result"
-      (Printf.sprintf "only %d of %d operations ran"
-         (List.length r.Shared_workload.ops)
-         Shared_workload.op_count);
-  List.iter (fun msg -> add "no-stale-read" msg) r.Shared_workload.stale;
-  (match r.Shared_workload.lease_reopen_rpcs with
+  judge ~completed:r.completed ~events:r.events
+    ~op_count:Shared_workload.op_count ~kernels:r.kernels
+    ~media:[ ("medium", r.medium) ] r.ops
+  @@ fun add ->
+  List.iter (fun msg -> add "no-stale-read" msg) r.stale;
+  match r.lease_reopen_rpcs with
   | Some n when n <> 0 ->
       add "lease-fast-path"
         (Printf.sprintf "reopen under a valid lease cost %d server requests \
                          (want 0)" n)
-  | _ -> ());
-  kernel_and_medium_violations ~add r.Shared_workload.kernels
-    r.Shared_workload.medium;
-  List.rev !vs
+  | _ -> ()
 
 (* Judge one cross-segment run.  The deepened retry budget means even a
    full gateway outage is survivable, so per-op success still holds
@@ -165,169 +134,82 @@ let shared_violations_of (r : Shared_workload.report) =
    unicast frame may reach the gateway unrouted (the topology installs a
    route for every host). *)
 let inet_violations_of (r : Inet_workload.report) =
-  let vs = ref [] in
-  let add invariant detail = vs := { invariant; detail } :: !vs in
-  if not r.Inet_workload.completed then
-    add "termination"
-      (Printf.sprintf "run did not quiesce cleanly (%d events executed)"
-         r.Inet_workload.events);
-  List.iter
-    (fun (o : Inet_workload.op_result) ->
-      if not o.Inet_workload.ok then
-        add "op-result"
-          (Printf.sprintf "%s failed (%s)" o.Inet_workload.op
-             o.Inet_workload.detail))
-    r.Inet_workload.ops;
-  if
-    r.Inet_workload.completed
-    && List.length r.Inet_workload.ops < Inet_workload.op_count
-  then
-    add "op-result"
-      (Printf.sprintf "only %d of %d operations ran"
-         (List.length r.Inet_workload.ops)
-         Inet_workload.op_count);
-  let g = r.Inet_workload.gateway in
+  judge ~completed:r.completed ~events:r.events
+    ~op_count:Inet_workload.op_count ~kernels:r.kernels
+    ~media:(segments r.media) r.ops
+  @@ fun add ->
+  let g = r.gateway in
   if g.Vnet.Gateway.unrouted <> 0 then
     add "gw-routed"
       (Printf.sprintf "gateway saw %d unroutable unicast frames"
-         g.Vnet.Gateway.unrouted);
-  kernel_violations ~add r.Inet_workload.kernels;
-  List.iteri
-    (fun i m ->
-      medium_conservation ~add ~label:(Printf.sprintf "segment %d" i) m)
-    r.Inet_workload.media;
-  List.rev !vs
+         g.Vnet.Gateway.unrouted)
 
 (* Judge one failover run.  Crash schedules here are crash-stop, so
    termination and per-op success certify that the standby took the
    shard over in time; durability demands the acked writes crossed the
-   takeover intact.  One detector-shaped invariant on top: if the
-   primary crashed before the client finished writing, somebody must
-   actually have taken over. *)
+   takeover intact. *)
 let failover_violations_of (r : Failover_workload.report) =
-  let vs = ref [] in
-  let add invariant detail = vs := { invariant; detail } :: !vs in
-  if not r.Failover_workload.completed then
-    add "termination"
-      (Printf.sprintf "run did not quiesce cleanly (%d events executed)"
-         r.Failover_workload.events);
+  judge ~completed:r.completed ~events:r.events
+    ~op_count:Failover_workload.op_count ~kernels:r.kernels
+    ~media:[ ("medium", r.medium) ] r.ops
+  @@ fun add ->
+  block_violations ~add ~acked_lost:r.acked_lost ~torn:r.torn ~fsck:r.fsck
+
+(* Deterministic, wall-clock-free digests of one run, for replay
+   diagnosis.  The op name column is [width] wide. *)
+let pp_ops ~width fmt (ops : Scenario.op_result list) =
   List.iter
-    (fun (o : Failover_workload.op_result) ->
-      if not o.Failover_workload.ok then
-        add "op-result"
-          (Printf.sprintf "%s failed (%s)" o.Failover_workload.op
-             o.Failover_workload.detail))
-    r.Failover_workload.ops;
-  if
-    r.Failover_workload.completed
-    && List.length r.Failover_workload.ops < Failover_workload.op_count
-  then
-    add "op-result"
-      (Printf.sprintf "only %d of %d operations ran"
-         (List.length r.Failover_workload.ops)
-         Failover_workload.op_count);
+    (fun (o : Scenario.op_result) ->
+      Format.fprintf fmt "op %-*s %s (%s)@," width o.op
+        (if o.ok then "ok" else "FAILED")
+        o.detail)
+    ops
+
+(* The shared tail of every digest: per-kernel stats and tables, then one
+   line per labelled medium. *)
+let pp_probes fmt (kernels : Scenario.kernel_probe list) media =
   List.iter
-    (fun b ->
-      add "durability" (Printf.sprintf "acknowledged write to block %d lost" b))
-    r.Failover_workload.acked_lost;
-  List.iter
-    (fun b ->
-      add "atomicity"
-        (Printf.sprintf "block %d torn: neither old nor new image" b))
-    r.Failover_workload.torn;
-  List.iter (fun msg -> add "fs-consistent" msg) r.Failover_workload.fsck;
-  kernel_violations ~add r.Failover_workload.kernels;
-  medium_conservation ~add r.Failover_workload.medium;
-  List.rev !vs
+    (fun (p : Scenario.kernel_probe) ->
+      Format.fprintf fmt "host %d: %a@,        %a@," p.host K.pp_stats p.kstats
+        K.pp_table_counts p.tables)
+    kernels;
+  List.iteri
+    (fun i (label, (m : Vnet.Medium.stats)) ->
+      if i > 0 then Format.fprintf fmt "@,";
+      Format.fprintf fmt
+        "%s: attempted=%d targeted=%d delivered=%d dropped=%d duplicated=%d \
+         collisions=%d excessive=%d"
+        label m.attempted m.targeted m.delivered m.dropped m.duplicated
+        m.collisions m.excessive)
+    media
 
-let run_schedule ?max_events ?seed (s : Schedule.t) =
-  violations_of (Workload.run ~fault:(Schedule.to_fault s) ?max_events ?seed ())
+let pp_blocks fmt ~acked ~acked_lost ~torn ~fsck =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Format.fprintf fmt "acked=[%s] lost=[%s] torn=[%s]@," (ints acked)
+    (ints acked_lost) (ints torn);
+  List.iter (fun msg -> Format.fprintf fmt "fsck: %s@," msg) fsck
 
-let run_crash_schedule ?max_events ?seed (s : Schedule.t) =
-  crash_violations_of
-    (Crash_workload.run ~fault:(Schedule.to_fault s) ?max_events ?seed ())
-
-let run_shared_schedule ?max_events ?seed (s : Schedule.t) =
-  shared_violations_of
-    (Shared_workload.run ~fault:(Schedule.to_fault s) ?max_events ?seed ())
-
-let run_inet_schedule ?max_events ?seed (s : Schedule.t) =
-  inet_violations_of
-    (Inet_workload.run ~fault:(Schedule.to_fault s) ?max_events ?seed ())
-
-let run_failover_schedule ?max_events ?seed (s : Schedule.t) =
-  failover_violations_of
-    (Failover_workload.run ~fault:(Schedule.to_fault s) ?max_events ?seed ())
-
-(* A deterministic, wall-clock-free digest of one run, for replay
-   diagnosis. *)
 let pp_report fmt (r : Workload.report) =
-  Format.fprintf fmt "completed=%b frames=%d@," r.Workload.completed
-    r.Workload.frames;
-  List.iter
-    (fun (o : Workload.op_result) ->
-      Format.fprintf fmt "op %-14s %s (%s)@," o.Workload.op
-        (if o.Workload.ok then "ok" else "FAILED")
-        o.Workload.detail)
-    r.Workload.ops;
+  Format.fprintf fmt "completed=%b frames=%d@," r.completed r.frames;
+  pp_ops ~width:14 fmt r.ops;
   Format.fprintf fmt "ledger:";
-  List.iter
-    (fun (name, n) -> Format.fprintf fmt " %s=%d" name n)
-    r.Workload.ledger;
-  Format.fprintf fmt " pages_written=%d file_ok=%b@," r.Workload.pages_written
-    r.Workload.file_ok;
-  List.iter
-    (fun (p : Workload.kernel_probe) ->
-      Format.fprintf fmt "host %d: %a@,        %a@," p.Workload.host
-        Vkernel.Kernel.pp_stats p.Workload.kstats
-        Vkernel.Kernel.pp_table_counts p.Workload.tables)
-    r.Workload.kernels;
-  let m = r.Workload.medium in
-  Format.fprintf fmt
-    "medium: attempted=%d targeted=%d delivered=%d dropped=%d duplicated=%d \
-     collisions=%d excessive=%d"
-    m.Vnet.Medium.attempted m.Vnet.Medium.targeted m.Vnet.Medium.delivered
-    m.Vnet.Medium.dropped m.Vnet.Medium.duplicated m.Vnet.Medium.collisions
-    m.Vnet.Medium.excessive
+  List.iter (fun (name, n) -> Format.fprintf fmt " %s=%d" name n) r.ledger;
+  Format.fprintf fmt " pages_written=%d file_ok=%b@," r.pages_written
+    r.file_ok;
+  pp_probes fmt r.kernels [ ("medium", r.medium) ]
 
 let pp_crash_report fmt (r : Crash_workload.report) =
-  let open Crash_workload in
   Format.fprintf fmt "completed=%b frames=%d crashes=%d restarts=%d@,"
     r.completed r.frames r.crashes r.restarts;
-  List.iter
-    (fun (o : op_result) ->
-      Format.fprintf fmt "op %-10s %s (%s)@," o.op
-        (if o.ok then "ok" else "FAILED")
-        o.detail)
-    r.ops;
-  let ints l = String.concat "," (List.map string_of_int l) in
-  Format.fprintf fmt "acked=[%s] lost=[%s] torn=[%s]@," (ints r.acked)
-    (ints r.acked_lost) (ints r.torn);
-  List.iter (fun msg -> Format.fprintf fmt "fsck: %s@," msg) r.fsck;
-  List.iter
-    (fun (p : Workload.kernel_probe) ->
-      Format.fprintf fmt "host %d: %a@,        %a@," p.Workload.host
-        Vkernel.Kernel.pp_stats p.Workload.kstats
-        Vkernel.Kernel.pp_table_counts p.Workload.tables)
-    r.kernels;
-  let m = r.medium in
-  Format.fprintf fmt
-    "medium: attempted=%d targeted=%d delivered=%d dropped=%d duplicated=%d \
-     collisions=%d excessive=%d"
-    m.Vnet.Medium.attempted m.Vnet.Medium.targeted m.Vnet.Medium.delivered
-    m.Vnet.Medium.dropped m.Vnet.Medium.duplicated m.Vnet.Medium.collisions
-    m.Vnet.Medium.excessive
+  pp_ops ~width:10 fmt r.ops;
+  pp_blocks fmt ~acked:r.acked ~acked_lost:r.acked_lost ~torn:r.torn
+    ~fsck:r.fsck;
+  pp_probes fmt r.kernels [ ("medium", r.medium) ]
 
 let pp_shared_report fmt (r : Shared_workload.report) =
-  let open Shared_workload in
   Format.fprintf fmt "completed=%b frames=%d crashes=%d restarts=%d@,"
     r.completed r.frames r.crashes r.restarts;
-  List.iter
-    (fun (o : op_result) ->
-      Format.fprintf fmt "op %-16s %s (%s)@," o.op
-        (if o.ok then "ok" else "FAILED")
-        o.detail)
-    r.ops;
+  pp_ops ~width:16 fmt r.ops;
   Format.fprintf fmt
     "leases: granted=%d broken=%d expired=%d breaks_acked=a:%d,b:%d \
      reopen_rpcs=%s@,"
@@ -336,38 +218,12 @@ let pp_shared_report fmt (r : Shared_workload.report) =
     | None -> "untested"
     | Some n -> string_of_int n);
   List.iter (fun msg -> Format.fprintf fmt "stale: %s@," msg) r.stale;
-  List.iter
-    (fun (p : Workload.kernel_probe) ->
-      Format.fprintf fmt "host %d: %a@,        %a@," p.Workload.host
-        Vkernel.Kernel.pp_stats p.Workload.kstats
-        Vkernel.Kernel.pp_table_counts p.Workload.tables)
-    r.kernels;
-  let m = r.medium in
-  Format.fprintf fmt
-    "medium: attempted=%d targeted=%d delivered=%d dropped=%d duplicated=%d \
-     collisions=%d excessive=%d"
-    m.Vnet.Medium.attempted m.Vnet.Medium.targeted m.Vnet.Medium.delivered
-    m.Vnet.Medium.dropped m.Vnet.Medium.duplicated m.Vnet.Medium.collisions
-    m.Vnet.Medium.excessive
-
-let pp_medium_line fmt label (m : Vnet.Medium.stats) =
-  Format.fprintf fmt
-    "%s: attempted=%d targeted=%d delivered=%d dropped=%d duplicated=%d \
-     collisions=%d excessive=%d"
-    label m.Vnet.Medium.attempted m.Vnet.Medium.targeted
-    m.Vnet.Medium.delivered m.Vnet.Medium.dropped m.Vnet.Medium.duplicated
-    m.Vnet.Medium.collisions m.Vnet.Medium.excessive
+  pp_probes fmt r.kernels [ ("medium", r.medium) ]
 
 let pp_inet_report fmt (r : Inet_workload.report) =
-  let open Inet_workload in
   Format.fprintf fmt "completed=%b frames=%d gw_crashes=%d gw_restarts=%d@,"
     r.completed r.frames r.gw_crashes r.gw_restarts;
-  List.iter
-    (fun (o : op_result) ->
-      Format.fprintf fmt "op %-10s %s (%s)@," o.op
-        (if o.ok then "ok" else "FAILED")
-        o.detail)
-    r.ops;
+  pp_ops ~width:10 fmt r.ops;
   let g = r.gateway in
   Format.fprintf fmt
     "gateway: received=%d forwarded=%d rebroadcast=%d queue_drops=%d \
@@ -376,40 +232,147 @@ let pp_inet_report fmt (r : Inet_workload.report) =
     g.Vnet.Gateway.rebroadcast g.Vnet.Gateway.queue_drops
     g.Vnet.Gateway.unrouted g.Vnet.Gateway.suppressed g.Vnet.Gateway.crc_drops
     g.Vnet.Gateway.down_drops;
-  List.iter
-    (fun (p : Workload.kernel_probe) ->
-      Format.fprintf fmt "host %d: %a@,        %a@," p.Workload.host
-        Vkernel.Kernel.pp_stats p.Workload.kstats
-        Vkernel.Kernel.pp_table_counts p.Workload.tables)
-    r.kernels;
-  List.iteri
-    (fun i m ->
-      if i > 0 then Format.fprintf fmt "@,";
-      pp_medium_line fmt (Printf.sprintf "segment %d" i) m)
-    r.media
+  pp_probes fmt r.kernels (segments r.media)
 
 let pp_failover_report fmt (r : Failover_workload.report) =
-  let open Failover_workload in
   Format.fprintf fmt
     "completed=%b frames=%d crashes=%d took_over=%b probes=%d@," r.completed
     r.frames r.crashes r.took_over r.probes;
-  List.iter
-    (fun (o : op_result) ->
-      Format.fprintf fmt "op %-10s %s (%s)@," o.op
-        (if o.ok then "ok" else "FAILED")
-        o.detail)
-    r.ops;
-  let ints l = String.concat "," (List.map string_of_int l) in
-  Format.fprintf fmt "acked=[%s] lost=[%s] torn=[%s]@," (ints r.acked)
-    (ints r.acked_lost) (ints r.torn);
-  List.iter (fun msg -> Format.fprintf fmt "fsck: %s@," msg) r.fsck;
-  List.iter
-    (fun (p : Workload.kernel_probe) ->
-      Format.fprintf fmt "host %d: %a@,        %a@," p.Workload.host
-        Vkernel.Kernel.pp_stats p.Workload.kstats
-        Vkernel.Kernel.pp_table_counts p.Workload.tables)
-    r.kernels;
-  pp_medium_line fmt "medium" r.medium
+  pp_ops ~width:10 fmt r.ops;
+  pp_blocks fmt ~acked:r.acked ~acked_lost:r.acked_lost ~torn:r.torn
+    ~fsck:r.fsck;
+  pp_probes fmt r.kernels [ ("medium", r.medium) ]
+
+(* The registry: one scenario per mode [vsim check] runs.  Every
+   enumerator supports depths 1 and 2. *)
+let fault =
+  Scenario.T
+    {
+      name = "fault";
+      label = "fault";
+      op_count = Workload.op_count;
+      run = Workload.run;
+      frames = (fun (r : Workload.report) -> r.frames);
+      violations = violations_of;
+      pp = pp_report;
+      enumerate = Scenario.net_faults;
+      depths = [ 1; 2 ];
+    }
+
+let crash =
+  Scenario.T
+    {
+      name = "crash";
+      label = "crash";
+      op_count = Crash_workload.op_count;
+      run = Crash_workload.run;
+      frames = (fun (r : Crash_workload.report) -> r.frames);
+      violations = crash_violations_of;
+      pp = pp_crash_report;
+      enumerate = Scenario.crash_restart;
+      depths = [ 1; 2 ];
+    }
+
+let shared =
+  Scenario.T
+    {
+      name = "shared";
+      label = "shared-coherence fault";
+      op_count = Shared_workload.op_count;
+      run = Shared_workload.run;
+      frames = (fun (r : Shared_workload.report) -> r.frames);
+      violations = shared_violations_of;
+      pp = pp_shared_report;
+      enumerate = Scenario.net_faults;
+      depths = [ 1; 2 ];
+    }
+
+let shared_crash =
+  Scenario.variant ~name:"shared+crash" ~label:"shared-coherence crash"
+    Scenario.crash_restart shared
+
+let inet =
+  Scenario.T
+    {
+      name = "inet";
+      label = "internetwork fault";
+      op_count = Inet_workload.op_count;
+      run = Inet_workload.run;
+      frames = (fun (r : Inet_workload.report) -> r.frames);
+      violations = inet_violations_of;
+      pp = pp_inet_report;
+      enumerate = Scenario.net_faults;
+      depths = [ 1; 2 ];
+    }
+
+let inet_crash =
+  Scenario.variant ~name:"inet+crash" ~label:"internetwork gateway-crash"
+    Scenario.crash_restart inet
+
+let failover =
+  Scenario.T
+    {
+      name = "failover";
+      label = "crash-stop failover";
+      op_count = Failover_workload.op_count;
+      run = Failover_workload.run;
+      frames = (fun (r : Failover_workload.report) -> r.frames);
+      violations = failover_violations_of;
+      pp = pp_failover_report;
+      enumerate = Scenario.crash_stop;
+      depths = [ 1; 2 ];
+    }
+
+let modes =
+  [
+    ([], fault);
+    ([ "--crash" ], crash);
+    ([ "--shared" ], shared);
+    ([ "--shared"; "--crash" ], shared_crash);
+    ([ "--inet" ], inet);
+    ([ "--inet"; "--crash" ], inet_crash);
+    ([ "--failover" ], failover);
+  ]
+
+let resolve flags =
+  (* Failover is crash-only: --crash adds nothing to it. *)
+  let flags =
+    if List.mem "--failover" flags then List.filter (( <> ) "--crash") flags
+    else flags
+  in
+  let same fs = List.sort compare fs = List.sort compare flags in
+  match List.find_opt (fun (fs, _) -> same fs) modes with
+  | Some (_, s) -> Ok s
+  | None ->
+      Error
+        (Printf.sprintf "conflicting mode flags: %s" (String.concat " " flags))
+
+type invalid =
+  | Unsupported_depth of {
+      scenario : string;
+      depth : int;
+      supported : int list;
+    }
+  | Nonpositive_limit of int
+
+let invalid_to_string = function
+  | Unsupported_depth { scenario; depth; supported } ->
+      Printf.sprintf "depth %d is not supported by the %s scenario (supported: \
+                      %s)"
+        depth scenario
+        (String.concat ", " (List.map string_of_int supported))
+  | Nonpositive_limit n ->
+      Printf.sprintf "limit %d: a sweep must explore at least one schedule" n
+
+let validate sc ~depth ~limit =
+  let supported = Scenario.depths sc in
+  if not (List.mem depth supported) then
+    Error (Unsupported_depth { scenario = Scenario.name sc; depth; supported })
+  else if limit < 1 then Error (Nonpositive_limit limit)
+  else Ok ()
+
+let run_schedule ?max_events ?seed (Scenario.T s) sched =
+  s.violations (s.run ~fault:(Schedule.to_fault sched) ?max_events ?seed ())
 
 (* Greedy delta debugging: drop one entry at a time, keeping any removal
    that preserves a violation, until no single removal does.  [run] is a
@@ -456,7 +419,7 @@ type sweep_report = {
    Chunks past the first violation are speculative work that is simply
    discarded.  Shrinking stays sequential — it is a chain of dependent
    runs. *)
-let sweep_seq ~limit ~domains ~progress ~run seq0 =
+let sweep_seq ~limit ~domains ~run seq0 =
   let seq = ref seq0 in
   let taken = ref 0 in
   let next_chunk k =
@@ -492,7 +455,6 @@ let sweep_seq ~limit ~domains ~progress ~run seq0 =
           | [], [] -> None
           | s :: ss', vs :: rs' -> (
               incr ran;
-              progress !ran;
               match vs with [] -> scan ss' rs' | _ :: _ -> Some s)
           | _ -> assert false
         in
@@ -505,99 +467,23 @@ let sweep_seq ~limit ~domains ~progress ~run seq0 =
   loop ();
   (!ran, !failure)
 
-(* Enumerate network-fault schedules over the baseline run's frame
-   positions.  The baseline run itself must be violation-free. *)
+(* Explore [sc]'s schedules over its baseline run's frame positions.
+   The baseline run itself must be violation-free. *)
 let sweep ?(depth = 2) ?(limit = 600) ?(actions = Schedule.default_actions)
     ?max_events ?seed ?(domains = Vsim.Pool.default_domains)
-    ?(progress = fun _ -> ()) () =
-  let baseline = Workload.run ?max_events ?seed () in
-  match violations_of baseline with
+    (Scenario.T s as sc) =
+  (match validate sc ~depth ~limit with
+  | Error e -> invalid_arg ("Checker.sweep: " ^ invalid_to_string e)
+  | Ok () -> ());
+  let baseline = s.run ?max_events ?seed () in
+  match s.violations baseline with
   | _ :: _ as vs -> Error vs
   | [] ->
-      let frames = baseline.Workload.frames in
-      let run s = run_schedule ?max_events ?seed s in
+      let frames = s.frames baseline in
       let ran, failure =
-        sweep_seq ~limit ~domains ~progress ~run
-          (Schedule.enumerate ~depth ~frames ~actions)
-      in
-      Ok { depth; limit; schedules_run = ran; baseline_frames = frames; failure }
-
-(* Crash-point exploration over the crash workload: crash + restart the
-   server host at every baseline frame (depth 1), optionally paired with
-   one network fault elsewhere (depth 2). *)
-let sweep_crash ?(depth = 1) ?(limit = 600) ?restart_ns
-    ?(actions = Schedule.default_actions) ?max_events ?seed
-    ?(domains = Vsim.Pool.default_domains) ?(progress = fun _ -> ()) () =
-  let baseline = Crash_workload.run ?max_events ?seed () in
-  match crash_violations_of baseline with
-  | _ :: _ as vs -> Error vs
-  | [] ->
-      let frames = baseline.Crash_workload.frames in
-      let run s = run_crash_schedule ?max_events ?seed s in
-      let ran, failure =
-        sweep_seq ~limit ~domains ~progress ~run
-          (Schedule.enumerate_crash ~depth ~frames ?restart_ns ~actions ())
-      in
-      Ok { depth; limit; schedules_run = ran; baseline_frames = frames; failure }
-
-(* Coherence exploration over the two-client shared-file workload: every
-   network-fault schedule (or, with [crash], every crash point paired
-   with an optional network fault) against the no-stale-read and
-   lease-fast-path invariants. *)
-let sweep_shared ?(crash = false) ?(depth = 2) ?(limit = 600) ?restart_ns
-    ?(actions = Schedule.default_actions) ?max_events ?seed
-    ?(domains = Vsim.Pool.default_domains) ?(progress = fun _ -> ()) () =
-  let baseline = Shared_workload.run ?max_events ?seed () in
-  match shared_violations_of baseline with
-  | _ :: _ as vs -> Error vs
-  | [] ->
-      let frames = baseline.Shared_workload.frames in
-      let run s = run_shared_schedule ?max_events ?seed s in
-      let seq =
-        if crash then Schedule.enumerate_crash ~depth ~frames ?restart_ns ~actions ()
-        else Schedule.enumerate ~depth ~frames ~actions
-      in
-      let ran, failure = sweep_seq ~limit ~domains ~progress ~run seq in
-      Ok { depth; limit; schedules_run = ran; baseline_frames = frames; failure }
-
-(* Cross-segment exploration over the internetwork workload: every
-   network-fault schedule on segment 0, or with [crash] every GATEWAY
-   crash + restart point paired with an optional network fault — the
-   gateway outage / partition-healing regime. *)
-let sweep_inet ?(crash = false) ?(depth = 2) ?(limit = 600) ?restart_ns
-    ?(actions = Schedule.default_actions) ?max_events ?seed
-    ?(domains = Vsim.Pool.default_domains) ?(progress = fun _ -> ()) () =
-  let baseline = Inet_workload.run ?max_events ?seed () in
-  match inet_violations_of baseline with
-  | _ :: _ as vs -> Error vs
-  | [] ->
-      let frames = baseline.Inet_workload.frames in
-      let run s = run_inet_schedule ?max_events ?seed s in
-      let seq =
-        if crash then
-          Schedule.enumerate_crash ~depth ~frames ?restart_ns ~actions ()
-        else Schedule.enumerate ~depth ~frames ~actions
-      in
-      let ran, failure = sweep_seq ~limit ~domains ~progress ~run seq in
-      Ok { depth; limit; schedules_run = ran; baseline_frames = frames; failure }
-
-(* Failover exploration: crash-STOP the shard-A primary at every
-   baseline frame (depth 1), optionally paired with one network fault
-   (depth 2), via {!Schedule.enumerate_crash_only}.  Completion under
-   every schedule certifies the standby takeover; durability certifies
-   no acked write was lost across it. *)
-let sweep_failover ?(depth = 1) ?(limit = 600)
-    ?(actions = Schedule.default_actions) ?max_events ?seed
-    ?(domains = Vsim.Pool.default_domains) ?(progress = fun _ -> ()) () =
-  let baseline = Failover_workload.run ?max_events ?seed () in
-  match failover_violations_of baseline with
-  | _ :: _ as vs -> Error vs
-  | [] ->
-      let frames = baseline.Failover_workload.frames in
-      let run s = run_failover_schedule ?max_events ?seed s in
-      let ran, failure =
-        sweep_seq ~limit ~domains ~progress ~run
-          (Schedule.enumerate_crash_only ~depth ~frames ~actions ())
+        sweep_seq ~limit ~domains
+          ~run:(run_schedule ?max_events ?seed sc)
+          (s.enumerate ~depth ~frames ~actions)
       in
       Ok { depth; limit; schedules_run = ran; baseline_frames = frames; failure }
 

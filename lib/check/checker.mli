@@ -1,14 +1,14 @@
-(** The fault-schedule explorer: invariants, sweep, shrinker.
+(** The fault-schedule explorer: invariants, scenarios, sweep, shrinker.
 
     The paper claims (Sections 3.2, 5.4) the V IPC protocol stays
     correct under packet loss: retransmissions are filtered, replies are
     cached, non-idempotent operations apply exactly once.  {!sweep}
-    tests those claims systematically — every depth-1 and depth-2 fault
-    schedule over the {!Workload} baseline's frames, each run judged by
-    {!violations_of} — and shrinks any failure to a minimal replayable
-    schedule. *)
+    tests those claims systematically — every depth-1 and depth-2
+    schedule over a {!Scenario}'s baseline frames, each run judged by
+    the scenario's invariants — and shrinks any failure to a minimal
+    replayable schedule. *)
 
-type violation = { invariant : string; detail : string }
+type violation = Scenario.violation = { invariant : string; detail : string }
 
 val pp_violation : Format.formatter -> violation -> unit
 
@@ -45,47 +45,62 @@ val failover_violations_of : Failover_workload.report -> violation list
     atomicity, fs-consistency on both shards, and the table-drain and
     conservation checks (live hosts only). *)
 
-val run_schedule : ?max_events:int -> ?seed:int64 -> Schedule.t -> violation list
-(** One workload run under the schedule, judged. *)
-
-val run_crash_schedule :
-  ?max_events:int -> ?seed:int64 -> Schedule.t -> violation list
-(** One crash-workload run under the schedule, judged by
-    {!crash_violations_of}. *)
-
-val run_shared_schedule :
-  ?max_events:int -> ?seed:int64 -> Schedule.t -> violation list
-(** One shared-coherence run under the schedule, judged by
-    {!shared_violations_of}. *)
-
-val run_inet_schedule :
-  ?max_events:int -> ?seed:int64 -> Schedule.t -> violation list
-(** One cross-segment run under the schedule (host events crash/restart
-    the gateway), judged by {!inet_violations_of}. *)
-
-val run_failover_schedule :
-  ?max_events:int -> ?seed:int64 -> Schedule.t -> violation list
-(** One failover run under the schedule (crash entries stop the shard-A
-    primary for good), judged by {!failover_violations_of}. *)
-
 val pp_report : Format.formatter -> Workload.report -> unit
 (** Deterministic digest of a run (ops, ledger, per-kernel stats and
     tables, medium counters) for replay diagnosis. *)
-
-val pp_crash_report : Format.formatter -> Crash_workload.report -> unit
-(** Same, for a crash run: ops, acked/lost/torn blocks, fsck findings. *)
 
 val pp_shared_report : Format.formatter -> Shared_workload.report -> unit
 (** Same, for a coherence run: both clients' ops, lease counters, stale
     findings. *)
 
-val pp_inet_report : Format.formatter -> Inet_workload.report -> unit
-(** Same, for a cross-segment run: ops, gateway counters, per-segment
-    medium counters. *)
-
 val pp_failover_report : Format.formatter -> Failover_workload.report -> unit
 (** Same, for a failover run: ops, takeover state, acked/lost/torn
     blocks, fsck findings on both shards. *)
+
+(** {1 The registry} *)
+
+val fault : Scenario.t
+val crash : Scenario.t
+val shared : Scenario.t
+val shared_crash : Scenario.t
+val inet : Scenario.t
+val inet_crash : Scenario.t
+val failover : Scenario.t
+(** The registry entries, named after their [vsim check] mode flags:
+    {!Workload}, {!Crash_workload}, {!Shared_workload}, {!Inet_workload}
+    and {!Failover_workload}.  [fault], [shared] and [inet] sweep network
+    faults; [crash] and [shared_crash] crash + restart the file server;
+    [inet_crash] crashes + restarts the gateway; [failover] crash-stops
+    the shard-A primary.  doc/CHECKING.md tabulates them. *)
+
+val modes : (string list * Scenario.t) list
+(** The seven modes [vsim check] runs, each with the mode flags that
+    select it. *)
+
+val resolve : string list -> (Scenario.t, string) result
+(** The registry entry whose flags are exactly the given mode flags, in
+    any order.  [--failover] also accepts [--crash], since failover is
+    crash-only.  [Error] names any other combination as conflicting. *)
+
+(** {1 Running scenarios} *)
+
+type invalid =
+  | Unsupported_depth of {
+      scenario : string;
+      depth : int;
+      supported : int list;
+    }
+  | Nonpositive_limit of int
+
+val invalid_to_string : invalid -> string
+
+val validate : Scenario.t -> depth:int -> limit:int -> (unit, invalid) result
+(** [Ok ()] iff [depth] is one of the scenario's depths and [limit] is
+    positive. *)
+
+val run_schedule :
+  ?max_events:int -> ?seed:int64 -> Scenario.t -> Schedule.t -> violation list
+(** One run of the scenario under the schedule, judged. *)
 
 val shrink : run:(Schedule.t -> violation list) -> Schedule.t -> Schedule.t
 (** Greedy delta debugging: repeatedly remove any single entry whose
@@ -115,89 +130,18 @@ val sweep :
   ?max_events:int ->
   ?seed:int64 ->
   ?domains:int ->
-  ?progress:(int -> unit) ->
-  unit ->
+  Scenario.t ->
   (sweep_report, violation list) result
-(** Systematic exploration, stopping at the first violation or after
-    [limit] schedules.  [Error vs] when the unfaulted baseline itself
-    violates (nothing useful can be explored then).  [domains > 1] fans
-    schedule runs out across OCaml 5 domains via {!Vsim.Pool} in
-    deterministic chunks; the returned report is byte-identical for any
-    domain count.  [progress] is called with the running schedule count
-    (main domain only). *)
+(** Systematic exploration of the scenario's schedules ([depth] default
+    2, [limit] default 600), stopping at the first violation (shrunk to
+    a minimal reproducer) or after [limit] schedules.  [Error vs] when
+    the unfaulted baseline itself violates (nothing useful can be
+    explored then).  [domains > 1] fans schedule runs out across OCaml 5
+    domains via {!Vsim.Pool} in deterministic chunks; the returned
+    report is byte-identical for any domain count.
 
-val sweep_crash :
-  ?depth:int ->
-  ?limit:int ->
-  ?restart_ns:int ->
-  ?actions:Vnet.Fault.action list ->
-  ?max_events:int ->
-  ?seed:int64 ->
-  ?domains:int ->
-  ?progress:(int -> unit) ->
-  unit ->
-  (sweep_report, violation list) result
-(** Crash-point exploration over {!Crash_workload}: crash + restart the
-    server host at every baseline frame (depth 1, the default),
-    optionally paired with one network fault at every other frame
-    (depth 2), via {!Schedule.enumerate_crash}.  Same chunked execution,
-    determinism guarantees and failure shrinking as {!sweep}. *)
-
-val sweep_shared :
-  ?crash:bool ->
-  ?depth:int ->
-  ?limit:int ->
-  ?restart_ns:int ->
-  ?actions:Vnet.Fault.action list ->
-  ?max_events:int ->
-  ?seed:int64 ->
-  ?domains:int ->
-  ?progress:(int -> unit) ->
-  unit ->
-  (sweep_report, violation list) result
-(** Coherence exploration over {!Shared_workload}: every network-fault
-    schedule up to [depth] (the default 2), or with [crash] every crash
-    point optionally paired with one network fault
-    ({!Schedule.enumerate_crash}), judged by {!shared_violations_of}.
-    Same chunked execution, determinism guarantees and failure shrinking
-    as {!sweep}. *)
-
-val sweep_inet :
-  ?crash:bool ->
-  ?depth:int ->
-  ?limit:int ->
-  ?restart_ns:int ->
-  ?actions:Vnet.Fault.action list ->
-  ?max_events:int ->
-  ?seed:int64 ->
-  ?domains:int ->
-  ?progress:(int -> unit) ->
-  unit ->
-  (sweep_report, violation list) result
-(** Cross-segment exploration over {!Inet_workload}: every network-fault
-    schedule on segment 0 up to [depth] (default 2), or with [crash]
-    every {e gateway} crash + restart point optionally paired with one
-    network fault ({!Schedule.enumerate_crash}) — the partition-healing
-    regime.  Same chunked execution, determinism guarantees and failure
-    shrinking as {!sweep}. *)
-
-val sweep_failover :
-  ?depth:int ->
-  ?limit:int ->
-  ?actions:Vnet.Fault.action list ->
-  ?max_events:int ->
-  ?seed:int64 ->
-  ?domains:int ->
-  ?progress:(int -> unit) ->
-  unit ->
-  (sweep_report, violation list) result
-(** Failover exploration over {!Failover_workload}: crash-stop the
-    shard-A primary at every baseline frame (depth 1, the default),
-    optionally paired with one network fault (depth 2), via
-    {!Schedule.enumerate_crash_only}.  Completion certifies the standby
-    takeover; durability certifies no acked write lost across it.  Same
-    chunked execution, determinism guarantees and failure shrinking as
-    {!sweep}. *)
+    @raise Invalid_argument if {!validate} rejects [depth] or [limit];
+    nothing runs then. *)
 
 val report_to_json : sweep_report -> string
 (** Compact, deterministic JSON for [vsim check --json] and CI

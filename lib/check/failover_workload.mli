@@ -10,13 +10,11 @@
     Schedule crashes hit host 2 only and are {e crash-stop}: the restart
     hook is a deliberate no-op, because a returned primary next to a
     standby that already ran {!Vfs.Fs.recover} would be two unfenced
-    writers on one disk.  Sweeps therefore use
+    writers on one disk (doc/INTERNETWORK.md).  Sweeps therefore use
     {!Schedule.enumerate_crash_only}; completion under a crash schedule
     requires the standby to take the shard over, and
     {!Checker.failover_violations_of} additionally demands that no
     acknowledged write is lost across the takeover. *)
-
-type op_result = { op : string; ok : bool; detail : string }
 
 type report = {
   completed : bool;  (** quiesced within budget and the client finished *)
@@ -26,13 +24,13 @@ type report = {
   restarts_ignored : int;  (** restart entries swallowed by the no-op hook *)
   took_over : bool;  (** the standby started serving shard A *)
   probes : int;  (** heartbeat probes the standby issued *)
-  ops : op_result list;  (** client-side outcomes, in program order *)
+  ops : Scenario.op_result list;  (** client-side outcomes, in program order *)
   acked : int list;  (** shard-A blocks whose write the client saw acked *)
   acked_lost : int list;  (** acked blocks not holding the new content —
                               durability violations across failover *)
   torn : int list;  (** blocks neither all-old nor all-new *)
   fsck : string list;  (** {!Vfs.Fs.check} findings on both shards *)
-  kernels : Workload.kernel_probe list;
+  kernels : Scenario.kernel_probe list;
       (** live hosts only — a crash-stopped host's tables are exempt
           from the drain invariant *)
   medium : Vnet.Medium.stats;
@@ -40,8 +38,6 @@ type report = {
 
 val op_count : int
 (** Number of client operations in the script. *)
-
-val default_max_events : int
 
 val run :
   ?fault:Vnet.Fault.t -> ?max_events:int -> ?seed:int64 -> unit -> report

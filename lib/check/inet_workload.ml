@@ -1,21 +1,7 @@
-(* The cross-segment checker workload: a client on a 3 Mb segment, an
-   echo service and a file server on a 10 Mb segment, every exchange
-   crossing a store-and-forward gateway.  Scripted host events crash and
-   restart the GATEWAY (not a kernel): a gateway outage silently eats
-   every frame in transit between the segments, which is exactly the
-   partition regime the kernel's retransmission machinery has to ride
-   out.  Scripted network faults act on the client-side segment.
-
-   The retry budget is deeper than the single-segment workloads' (the
-   default gateway outage is 50 ms and the fixed T is 10 ms), so under
-   any depth-2 schedule every operation must still succeed. *)
-
 module K = Vkernel.Kernel
 module Msg = Vkernel.Msg
 module Topology = Vworkload.Topology
 module Io = Vfs.Client.Io
-
-type op_result = { op : string; ok : bool; detail : string }
 
 type report = {
   completed : bool;
@@ -23,9 +9,9 @@ type report = {
   frames : int;  (** completed transmissions on segment 0 (the fault target) *)
   gw_crashes : int;
   gw_restarts : int;
-  ops : op_result list;
+  ops : Scenario.op_result list;
   echoes_served : int;
-  kernels : Workload.kernel_probe list;
+  kernels : Scenario.kernel_probe list;
   media : Vnet.Medium.stats list;
   gateway : Vnet.Gateway.stats;
 }
@@ -85,7 +71,7 @@ let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events)
         loop ())
   in
   let ops = ref [] in
-  let record op ok detail = ops := { op; ok; detail } :: !ops in
+  let record op ok detail = ops := { Scenario.op; ok; detail } :: !ops in
   let client_done = ref false in
   let (_ : Vkernel.Pid.t) =
     K.spawn k1 ~name:"inet-client" (fun _ ->
@@ -109,14 +95,8 @@ let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events)
             | Error e -> record "open" false (Vfs.Client.error_to_string e)
             | Ok f -> (
                 record "open" true "ok";
-                (match Io.read f ~off:0 ~len:bs with
-                | Ok got ->
-                    let expect =
-                      Bytes.init bs (fun i -> Vworkload.Testbed.pattern_byte i)
-                    in
-                    record "read" (Bytes.equal got expect) "data check"
-                | Error e ->
-                    record "read" false (Vfs.Client.error_to_string e));
+                Scenario.record_read record "read"
+                  ~expect:(Scenario.old_block 0) (Io.read f ~off:0 ~len:bs);
                 let fresh =
                   Bytes.init bs (fun i ->
                       Vworkload.Testbed.pattern_byte (9000 + i))
@@ -126,42 +106,23 @@ let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events)
                 | Ok n -> record "write" false (Printf.sprintf "short %d" n)
                 | Error e ->
                     record "write" false (Vfs.Client.error_to_string e));
-                (match Io.read f ~off:bs ~len:bs with
-                | Ok got ->
-                    record "readback" (Bytes.equal got fresh) "data check"
-                | Error e ->
-                    record "readback" false (Vfs.Client.error_to_string e));
-                (match Io.close f with
-                | Ok () -> record "close" true "ok"
-                | Error e ->
-                    record "close" false (Vfs.Client.error_to_string e));
+                Scenario.record_read record "readback" ~expect:fresh
+                  (Io.read f ~off:bs ~len:bs);
+                Scenario.record_result record "close" (Io.close f);
                 client_done := true)))
   in
   Vnet.Medium.set_fault m0 fault;
-  let quiescent, events =
-    match Vsim.Engine.run_bounded ~max_events eng with
-    | `Quiescent n -> (true, n)
-    | `Exhausted n -> (false, n)
-  in
+  let quiescent, events = Scenario.quiesce ~max_events eng in
   let s0 = Vnet.Medium.stats m0 in
   {
     completed = quiescent && !client_done;
     events;
-    frames = s0.Vnet.Medium.attempted - s0.Vnet.Medium.excessive;
+    frames = Scenario.completed_frames s0;
     gw_crashes = !gw_crashes;
     gw_restarts = !gw_restarts;
     ops = List.rev !ops;
     echoes_served = !echoes;
-    kernels =
-      List.map
-        (fun i ->
-          let k = kernel i in
-          {
-            Workload.host = i;
-            tables = K.table_counts k;
-            kstats = K.stats k;
-          })
-        [ 1; 2 ];
+    kernels = List.map Scenario.probe [ (1, k1); (2, k2) ];
     media = [ s0; Vnet.Medium.stats m1 ];
     gateway = Vnet.Gateway.stats gw;
   }

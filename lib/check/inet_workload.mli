@@ -14,8 +14,6 @@
     {!Checker.inet_violations_of} therefore demands that every operation
     still succeeds under any depth-2 schedule. *)
 
-type op_result = { op : string; ok : bool; detail : string }
-
 type report = {
   completed : bool;  (** quiesced within budget and the client finished *)
   events : int;
@@ -24,21 +22,15 @@ type report = {
           frame positions refer to *)
   gw_crashes : int;
   gw_restarts : int;
-  ops : op_result list;  (** client-side outcomes, in program order *)
+  ops : Scenario.op_result list;  (** client-side outcomes, in program order *)
   echoes_served : int;
-  kernels : Workload.kernel_probe list;
+  kernels : Scenario.kernel_probe list;
   media : Vnet.Medium.stats list;  (** per segment, in segment order *)
   gateway : Vnet.Gateway.stats;
 }
 
-val inet_config : Vkernel.Kernel.config
-(** {!Workload.fast_config} with [max_retries] deep enough to ride out a
-    default gateway outage. *)
-
 val op_count : int
 (** Number of client operations in the script. *)
-
-val default_max_events : int
 
 val run :
   ?fault:Vnet.Fault.t -> ?max_events:int -> ?seed:int64 -> unit -> report

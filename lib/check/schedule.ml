@@ -121,6 +121,15 @@ let default_actions =
 
 let default_restart_ns = Vsim.Time.ms 50
 
+(* Every enumerator offers depths 1 and 2. *)
+let by_depth name depth ~depth1 ~depth2 =
+  match depth with
+  | 1 -> depth1
+  | 2 -> Seq.append depth1 depth2
+  | d ->
+      invalid_arg
+        (Printf.sprintf "Schedule.%s: depth %d not supported" name d)
+
 (* Systematic enumeration, lazily: every single-entry schedule over frames
    1..frames in (frame, action) lexicographic order, then every two-entry
    schedule with strictly increasing frame positions.  Deterministic and
@@ -146,72 +155,44 @@ let enumerate ~depth ~frames ~actions =
           (entries f1))
       frame_seq
   in
-  match depth with
-  | 1 -> depth1
-  | 2 -> Seq.append depth1 depth2
-  | d -> invalid_arg (Printf.sprintf "Schedule.enumerate: depth %d not supported" d)
+  by_depth "enumerate" depth ~depth1 ~depth2
 
-(* Crash-point enumeration: depth 1 crashes the server host at every
-   frame (with a restart so recovery is exercised and the completion
-   invariant stays meaningful); depth 2 additionally pairs each crash
-   point with one network fault at every other frame — the fault may
-   land before the crash (damaging the prefix whose effects recovery
-   must reconstruct) or after it (stressing the re-connect path).
-   Entries are kept in increasing frame order so schedules print and
-   replay canonically. *)
+(* Host-event enumeration: depth 1 puts [host f] at every frame; depth 2
+   additionally pairs each host event with one network fault at every
+   other frame — the fault may land before the crash (damaging the
+   prefix whose effects recovery must reconstruct) or after it
+   (stressing the re-connect path).  Entries are kept in increasing
+   frame order so schedules print and replay canonically. *)
+let enumerate_host name ~host ~depth ~frames ~actions =
+  let frame_seq = Seq.init frames (fun i -> i + 1) in
+  let depth1 = Seq.map (fun f -> [ host f ]) frame_seq in
+  let depth2 =
+    Seq.concat_map
+      (fun f1 ->
+        Seq.concat_map
+          (fun f2 ->
+            if f2 = f1 then Seq.empty
+            else
+              List.to_seq actions
+              |> Seq.map (fun a ->
+                     let e2 = { frame = f2; action = Net a } in
+                     if f2 < f1 then [ e2; host f1 ] else [ host f1; e2 ]))
+          frame_seq)
+      frame_seq
+  in
+  by_depth name depth ~depth1 ~depth2
+
+(* Crash points come with a restart, so recovery is exercised and the
+   completion invariant stays meaningful. *)
 let enumerate_crash ~depth ~frames ?(restart_ns = default_restart_ns)
     ?(actions = default_actions) () =
-  let restart f = { frame = f; action = Restart restart_ns } in
-  let frame_seq = Seq.init frames (fun i -> i + 1) in
-  let depth1 = Seq.map (fun f -> [ restart f ]) frame_seq in
-  let depth2 =
-    Seq.concat_map
-      (fun f1 ->
-        Seq.concat_map
-          (fun f2 ->
-            if f2 = f1 then Seq.empty
-            else
-              List.to_seq actions
-              |> Seq.map (fun a ->
-                     let e2 = { frame = f2; action = Net a } in
-                     if f2 < f1 then [ e2; restart f1 ]
-                     else [ restart f1; e2 ]))
-          frame_seq)
-      frame_seq
-  in
-  match depth with
-  | 1 -> depth1
-  | 2 -> Seq.append depth1 depth2
-  | d ->
-      invalid_arg
-        (Printf.sprintf "Schedule.enumerate_crash: depth %d not supported" d)
+  enumerate_host "enumerate_crash" ~depth ~frames ~actions ~host:(fun f ->
+      { frame = f; action = Restart restart_ns })
 
-(* Crash-stop enumeration: like {!enumerate_crash} but the host never
-   comes back.  This is the failover regime — completion then depends on
-   a standby taking over the dead host's service, which is exactly the
-   property the failover workload sweeps. *)
+(* Crash-stop: the host never comes back.  This is the failover regime —
+   completion then depends on a standby taking over the dead host's
+   service, which is exactly the property the failover workload
+   sweeps. *)
 let enumerate_crash_only ~depth ~frames ?(actions = default_actions) () =
-  let crash f = { frame = f; action = Crash } in
-  let frame_seq = Seq.init frames (fun i -> i + 1) in
-  let depth1 = Seq.map (fun f -> [ crash f ]) frame_seq in
-  let depth2 =
-    Seq.concat_map
-      (fun f1 ->
-        Seq.concat_map
-          (fun f2 ->
-            if f2 = f1 then Seq.empty
-            else
-              List.to_seq actions
-              |> Seq.map (fun a ->
-                     let e2 = { frame = f2; action = Net a } in
-                     if f2 < f1 then [ e2; crash f1 ] else [ crash f1; e2 ]))
-          frame_seq)
-      frame_seq
-  in
-  match depth with
-  | 1 -> depth1
-  | 2 -> Seq.append depth1 depth2
-  | d ->
-      invalid_arg
-        (Printf.sprintf "Schedule.enumerate_crash_only: depth %d not supported"
-           d)
+  enumerate_host "enumerate_crash_only" ~depth ~frames ~actions
+    ~host:(fun f -> { frame = f; action = Crash })

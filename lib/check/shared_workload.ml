@@ -1,15 +1,13 @@
 module K = Vkernel.Kernel
 module Io = Vfs.Client.Io
 
-type op_result = { op : string; ok : bool; detail : string }
-
 type report = {
   completed : bool;
   events : int;
   frames : int;
   crashes : int;
   restarts : int;
-  ops : op_result list;
+  ops : Scenario.op_result list;
   stale : string list;
   lease_reopen_rpcs : int option;
   breaks_a : int;
@@ -17,7 +15,7 @@ type report = {
   leases_granted : int;
   leases_broken : int;
   leases_expired : int;
-  kernels : Workload.kernel_probe list;
+  kernels : Scenario.kernel_probe list;
   medium : Vnet.Medium.stats;
 }
 
@@ -50,14 +48,13 @@ let default_max_events = 6_000_000
    instead, where time is under the test's control. *)
 let lease_term_ns = Vsim.Time.ms 2000
 
-let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events)
-    ?(trace = false) ?seed () =
+let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events) ?seed
+    () =
   let tb =
     Vworkload.Testbed.create ?seed ~hosts:3
       ~kernel_config:Workload.fast_config ()
   in
   let eng = tb.Vworkload.Testbed.eng in
-  if trace then Vsim.Trace.to_stderr eng;
   let medium = tb.Vworkload.Testbed.medium in
   let kernel i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.kernel in
   let k1 = kernel 1 and k2 = kernel 2 and k3 = kernel 3 in
@@ -80,7 +77,7 @@ let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events)
       incr restarts;
       K.restart k2);
   let ops = ref [] in
-  let record op ok detail = ops := { op; ok; detail } :: !ops in
+  let record op ok detail = ops := { Scenario.op; ok; detail } :: !ops in
   let stale = ref [] in
   let lease_reopen_rpcs = ref None in
   let io_a = ref None and io_b = ref None in
@@ -100,31 +97,22 @@ let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events)
     in
     go 5000
   in
-  (* Opening can race the crash schedule before any [Io.file] exists to
-     carry the recovery loop, so the prologue retries from scratch. *)
   let open_loop tag k io_slot =
     let cache =
       Vfs.Cache.create eng
         ~host:(K.host k)
         { Vfs.Cache.capacity_blocks = 8; policy = Vfs.Cache.Write_through }
     in
-    let tries = 30 in
-    let rec go n last =
-      if n = 0 then Error last
-      else begin
-        if n < tries then Vsim.Proc.sleep (Vsim.Time.ms 20);
-        match Vfs.Client.connect k () with
-        | Error e -> go (n - 1) (Vfs.Client.error_to_string e)
-        | Ok conn -> (
-            let io = Io.make ~cache ~recover:true ~lease:true conn in
-            match Io.open_file io file_name with
-            | Ok f ->
-                io_slot := Some io;
-                Ok f
-            | Error e -> go (n - 1) (Vfs.Client.error_to_string e))
-      end
+    let open_file () =
+      Result.bind (Vfs.Client.connect k ()) (fun conn ->
+          let io = Io.make ~cache ~recover:true ~lease:true conn in
+          Result.map
+            (fun f ->
+              io_slot := Some io;
+              f)
+            (Io.open_file io file_name))
     in
-    match go tries "never attempted" with
+    match Scenario.retry_open ~tries:30 ~between:ignore open_file with
     | Ok f ->
         record (tag ^ ":open") true "ok";
         Some f
@@ -167,9 +155,7 @@ let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events)
         | None -> ()
         | Some f ->
             check_read "a:read0" f ~block:0 (initial 0);
-            (match Io.close f with
-            | Ok () -> record "a:close0" true "ok"
-            | Error e -> record "a:close0" false (Vfs.Client.error_to_string e));
+            Scenario.record_result record "a:close0" (Io.close f);
             (* Zero-RPC reopen: under a still-valid lease the parked
                handle, cached blocks and version are reused as-is.  The
                server's request counter is the witness.  When the lease
@@ -195,10 +181,7 @@ let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events)
                   advance 3;
                   if await 4 then begin
                     check_read "a:read2" f ~block:2 b_writes_2;
-                    (match Io.close f with
-                    | Ok () -> record "a:close" true "ok"
-                    | Error e ->
-                        record "a:close" false (Vfs.Client.error_to_string e));
+                    Scenario.record_result record "a:close" (Io.close f);
                     a_done := true
                   end
                   else record "a:await4" false "phase 4 never reached"
@@ -219,10 +202,7 @@ let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events)
                     the file was broken before that acknowledgement. *)
                  check_read "b:read1" f ~block:1 a_writes_1;
                  if do_write "b:write2" f ~block:2 b_writes_2 then ();
-                 (match Io.close f with
-                 | Ok () -> record "b:close" true "ok"
-                 | Error e ->
-                     record "b:close" false (Vfs.Client.error_to_string e));
+                 Scenario.record_result record "b:close" (Io.close f);
                  b_done := true
                end
                else record "b:await3" false "phase 3 never reached"
@@ -231,11 +211,7 @@ let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events)
         advance 4)
   in
   Vnet.Medium.set_fault medium fault;
-  let quiescent, events =
-    match Vsim.Engine.run_bounded ~max_events eng with
-    | `Quiescent n -> (true, n)
-    | `Exhausted n -> (false, n)
-  in
+  let quiescent, events = Scenario.quiesce ~max_events eng in
   let completed = quiescent && !a_done && !b_done in
   let mstats = Vnet.Medium.stats medium in
   let breaks_of slot =
@@ -244,7 +220,7 @@ let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events)
   {
     completed;
     events;
-    frames = mstats.Vnet.Medium.attempted - mstats.Vnet.Medium.excessive;
+    frames = Scenario.completed_frames mstats;
     crashes = !crashes;
     restarts = !restarts;
     ops = List.rev !ops;
@@ -255,15 +231,6 @@ let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events)
     leases_granted = Vfs.Server.leases_granted server;
     leases_broken = Vfs.Server.leases_broken server;
     leases_expired = Vfs.Server.leases_expired server;
-    kernels =
-      List.map
-        (fun i ->
-          let k = kernel i in
-          {
-            Workload.host = i;
-            tables = K.table_counts k;
-            kstats = K.stats k;
-          })
-        [ 1; 2; 3 ];
+    kernels = List.map Scenario.probe [ (1, k1); (2, k2); (3, k3) ];
     medium = mstats;
   }

@@ -11,15 +11,14 @@
     how many server requests that reopen cost (the protocol promises
     zero).  {!Checker.shared_violations_of} judges the report. *)
 
-type op_result = { op : string; ok : bool; detail : string }
-
 type report = {
   completed : bool;  (** quiesced within budget and both clients finished *)
   events : int;
   frames : int;  (** completed transmissions in this run *)
   crashes : int;  (** host-crash events that fired *)
   restarts : int;  (** restarts that fired *)
-  ops : op_result list;  (** both clients' outcomes, in program order *)
+  ops : Scenario.op_result list;
+      (** both clients' outcomes, in program order *)
   stale : string list;
       (** no-stale-read findings: reads that did not observe the latest
           acknowledged write (or failed outright) *)
@@ -32,31 +31,16 @@ type report = {
   leases_granted : int;
   leases_broken : int;
   leases_expired : int;
-  kernels : Workload.kernel_probe list;
+  kernels : Scenario.kernel_probe list;
   medium : Vnet.Medium.stats;
 }
-
-val file_blocks : int
-(** Size of the shared file, in blocks. *)
 
 val op_count : int
 (** Number of mandatory client operations in the script (awaits that
     time out are recorded as extra failed ops). *)
 
-val default_max_events : int
-
-val lease_term_ns : int
-(** The lease term the workload's server grants — far longer than any
-    depth<=2 run, so in-sweep coherence is driven entirely by explicit
-    breaks and failover recovery, never by silent expiry. *)
-
 val run :
-  ?fault:Vnet.Fault.t ->
-  ?max_events:int ->
-  ?trace:bool ->
-  ?seed:int64 ->
-  unit ->
-  report
+  ?fault:Vnet.Fault.t -> ?max_events:int -> ?seed:int64 -> unit -> report
 (** Build a fresh three-host testbed, run the script under [fault]
     (whose host events crash host 2, the file server), and report.
     Deterministic: equal arguments give equal reports. *)

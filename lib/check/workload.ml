@@ -2,23 +2,15 @@ module K = Vkernel.Kernel
 module Msg = Vkernel.Msg
 module Mem = Vkernel.Mem
 
-type op_result = { op : string; ok : bool; detail : string }
-
-type kernel_probe = {
-  host : int;
-  tables : K.table_counts;
-  kstats : K.stats;
-}
-
 type report = {
   completed : bool;
   events : int;
   frames : int;
-  ops : op_result list;
+  ops : Scenario.op_result list;
   ledger : (string * int) list;
   pages_written : int;
   file_ok : bool;
-  kernels : kernel_probe list;
+  kernels : Scenario.kernel_probe list;
   medium : Vnet.Medium.stats;
 }
 
@@ -37,13 +29,12 @@ let io_block = 2 (* file block the cached write dirties *)
 
 let default_max_events = 2_000_000
 
-let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events)
-    ?(trace = false) ?seed () =
+let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events) ?seed
+    () =
   let tb =
     Vworkload.Testbed.create ?seed ~hosts:3 ~kernel_config:fast_config ()
   in
   let eng = tb.Vworkload.Testbed.eng in
-  if trace then Vsim.Trace.to_stderr eng;
   let medium = tb.Vworkload.Testbed.medium in
   let kernel i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.kernel in
   let k1 = kernel 1 and k2 = kernel 2 and k3 = kernel 3 in
@@ -66,58 +57,50 @@ let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events)
     ]
   in
   let count name = incr (List.assoc name ledger) in
-  let echo =
-    K.spawn k2 ~name:"echo" (fun _ ->
+  (* A server process: [handle pid] does any set-up, then handles each
+     request after the ledger counts it. *)
+  let serve k name handle =
+    K.spawn k ~name (fun pid ->
+        let handle = handle pid in
         let msg = Msg.create () in
         let rec loop () =
-          let src = K.receive k2 msg in
-          count "echo";
-          Msg.set_u8 msg 4 ((Msg.get_u8 msg 4 + 1) land 0xff);
-          ignore (K.reply k2 msg src);
+          let src = K.receive k msg in
+          count name;
+          handle msg src;
           loop ()
         in
         loop ())
   in
+  let echo =
+    serve k2 "echo" (fun _ msg src ->
+        Msg.set_u8 msg 4 ((Msg.get_u8 msg 4 + 1) land 0xff);
+        ignore (K.reply k2 msg src))
+  in
   let seg_srv =
-    K.spawn k2 ~name:"seg" (fun pid ->
+    serve k2 "seg" (fun pid ->
         let mem = K.memory k2 pid in
         Mem.write mem ~pos:0 (Bytes.init seg_len (fun i -> pattern i));
-        let msg = Msg.create () in
-        let rec loop () =
-          let src = K.receive k2 msg in
-          count "seg";
-          (match Msg.writable_segment msg with
+        fun msg src ->
+          match Msg.writable_segment msg with
           | Some (p, _) ->
               Msg.clear_segment msg;
               ignore
                 (K.reply_with_segment k2 msg src ~destptr:p ~segptr:0
                    ~segsize:seg_len)
-          | None -> ignore (K.reply k2 msg src));
-          loop ()
-        in
-        loop ())
+          | None -> ignore (K.reply k2 msg src))
   in
   let mover =
-    K.spawn k2 ~name:"mover" (fun pid ->
+    serve k2 "mover" (fun pid ->
         let mem = K.memory k2 pid in
         Mem.write mem ~pos:0 (Bytes.init move_len (fun i -> pattern (i * 3)));
-        let msg = Msg.create () in
-        let rec loop () =
-          let src = K.receive k2 msg in
-          count "mover";
+        fun msg src ->
           ignore (K.move_to k2 ~dst_pid:src ~dst:4096 ~src:0 ~count:move_len);
-          ignore (K.reply k2 msg src);
-          loop ()
-        in
-        loop ())
+          ignore (K.reply k2 msg src))
   in
   let reader =
-    K.spawn k2 ~name:"reader" (fun pid ->
+    serve k2 "reader" (fun pid ->
         let mem = K.memory k2 pid in
-        let msg = Msg.create () in
-        let rec loop () =
-          let src = K.receive k2 msg in
-          count "reader";
+        fun msg src ->
           let st = K.move_from k2 ~src_pid:src ~dst:0 ~src:8192 ~count:from_len in
           let got = Mem.read mem ~pos:0 ~len:from_len in
           let expect = Bytes.init from_len (fun i -> pattern (8192 + i)) in
@@ -136,36 +119,19 @@ let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events)
           in
           Msg.set_u8 msg 5 code;
           Msg.set_u8 msg 6 (if data_ok then 1 else 0);
-          ignore (K.reply k2 msg src);
-          loop ()
-        in
-        loop ())
+          ignore (K.reply k2 msg src))
   in
   let worker =
-    K.spawn k3 ~name:"worker" (fun _ ->
-        let msg = Msg.create () in
-        let rec loop () =
-          let src = K.receive k3 msg in
-          count "worker";
-          Msg.set_u8 msg 4 ((Msg.get_u8 msg 4 + 7) land 0xff);
-          ignore (K.reply k3 msg src);
-          loop ()
-        in
-        loop ())
+    serve k3 "worker" (fun _ msg src ->
+        Msg.set_u8 msg 4 ((Msg.get_u8 msg 4 + 7) land 0xff);
+        ignore (K.reply k3 msg src))
   in
   let dispatcher =
-    K.spawn k2 ~name:"dispatcher" (fun _ ->
-        let msg = Msg.create () in
-        let rec loop () =
-          let src = K.receive k2 msg in
-          count "dispatcher";
-          ignore (K.forward k2 msg ~from_pid:src ~to_pid:worker);
-          loop ()
-        in
-        loop ())
+    serve k2 "dispatcher" (fun _ msg src ->
+        ignore (K.forward k2 msg ~from_pid:src ~to_pid:worker))
   in
   let ops = ref [] in
-  let record op ok detail = ops := { op; ok; detail } :: !ops in
+  let record op ok detail = ops := { Scenario.op; ok; detail } :: !ops in
   let client_done = ref false in
   let io_expect = Bytes.init 512 (fun i -> pattern (1000 + i)) in
   let (_ : Vkernel.Pid.t) =
@@ -218,41 +184,28 @@ let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events)
           (K.status_to_string st);
         (* 6: cached write-back Io: GetPid broadcast, open, dirty one
            block, flush on close. *)
-        (match Vfs.Client.connect k1 () with
+        let writeback =
+          let ( let* ) = Result.bind in
+          let* conn = Vfs.Client.connect k1 () in
+          let cache =
+            Vfs.Cache.create eng ~host:1
+              { Vfs.Cache.capacity_blocks = 8; policy = Vfs.Cache.Write_back }
+          in
+          let io = Vfs.Client.Io.make ~cache conn in
+          let* f = Vfs.Client.Io.open_file io "data" in
+          let* n =
+            Vfs.Client.Io.write f ~off:(io_block * 512) (Bytes.copy io_expect)
+          in
+          let* () = Vfs.Client.Io.close f in
+          Ok n
+        in
+        (match writeback with
         | Error e -> record "io-writeback" false (Vfs.Client.error_to_string e)
-        | Ok conn -> (
-            let cache =
-              Vfs.Cache.create eng ~host:1
-                {
-                  Vfs.Cache.capacity_blocks = 8;
-                  policy = Vfs.Cache.Write_back;
-                }
-            in
-            let io = Vfs.Client.Io.make ~cache conn in
-            match Vfs.Client.Io.open_file io "data" with
-            | Error e ->
-                record "io-writeback" false (Vfs.Client.error_to_string e)
-            | Ok f -> (
-                match
-                  Vfs.Client.Io.write f ~off:(io_block * 512)
-                    (Bytes.copy io_expect)
-                with
-                | Error e ->
-                    record "io-writeback" false (Vfs.Client.error_to_string e)
-                | Ok n -> (
-                    match Vfs.Client.Io.close f with
-                    | Error e ->
-                        record "io-writeback" false
-                          (Vfs.Client.error_to_string e)
-                    | Ok () -> record "io-writeback" (n = 512) "ok"))));
+        | Ok n -> record "io-writeback" (n = 512) "ok");
         client_done := true)
   in
   Vnet.Medium.set_fault medium fault;
-  let quiescent, events =
-    match Vsim.Engine.run_bounded ~max_events eng with
-    | `Quiescent n -> (true, n)
-    | `Exhausted n -> (false, n)
-  in
+  let quiescent, events = Scenario.quiesce ~max_events eng in
   let completed = quiescent && !client_done in
   (* Audit the server's file system directly — not through the client's
      cache — so a lost or doubly-applied write cannot hide. *)
@@ -269,17 +222,12 @@ let run ?(fault = Vnet.Fault.none) ?(max_events = default_max_events)
   {
     completed;
     events;
-    frames = mstats.Vnet.Medium.attempted - mstats.Vnet.Medium.excessive;
+    frames = Scenario.completed_frames mstats;
     ops = List.rev !ops;
     ledger = List.map (fun (name, r) -> (name, !r)) ledger;
     pages_written = Vfs.Server.pages_written vfs_server;
     file_ok = !file_ok;
-    kernels =
-      List.map
-        (fun i ->
-          let k = kernel i in
-          { host = i; tables = K.table_counts k; kstats = K.stats k })
-        [ 1; 2; 3 ];
+    kernels = List.map Scenario.probe [ (1, k1); (2, k2); (3, k3) ];
     medium = mstats;
   }
 

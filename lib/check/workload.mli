@@ -11,23 +11,15 @@
     one.  The run report carries everything {!Checker} needs to judge the
     paper's invariants — nothing is asserted here. *)
 
-type op_result = { op : string; ok : bool; detail : string }
-
-type kernel_probe = {
-  host : int;
-  tables : Vkernel.Kernel.table_counts;
-  kstats : Vkernel.Kernel.stats;
-}
-
 type report = {
   completed : bool;  (** quiesced within budget and the client finished *)
   events : int;  (** events executed *)
   frames : int;  (** completed transmissions in this run *)
-  ops : op_result list;  (** client-side outcomes, in program order *)
+  ops : Scenario.op_result list;  (** client-side outcomes, in program order *)
   ledger : (string * int) list;  (** server-side applied counts *)
   pages_written : int;  (** file-server write ledger *)
   file_ok : bool;  (** server-side file bytes match the client's write *)
-  kernels : kernel_probe list;
+  kernels : Scenario.kernel_probe list;
   medium : Vnet.Medium.stats;
 }
 
@@ -37,16 +29,8 @@ val fast_config : Vkernel.Kernel.config
 val op_count : int
 (** Number of client operations in the script. *)
 
-val default_max_events : int
-
 val run :
-  ?fault:Vnet.Fault.t ->
-  ?max_events:int ->
-  ?trace:bool ->
-  ?seed:int64 ->
-  unit ->
-  report
+  ?fault:Vnet.Fault.t -> ?max_events:int -> ?seed:int64 -> unit -> report
 (** Build a fresh testbed, run the script under [fault], and report.
-    Deterministic: equal arguments give equal reports.  [trace] attaches
-    a stderr event tracer for repro diagnosis; [seed] overrides the
-    engine's default seed. *)
+    Deterministic: equal arguments give equal reports.  [seed] overrides
+    the engine's default seed. *)

@@ -25,7 +25,7 @@ let test_baseline_deterministic () =
     (digest (Workload.run ()))
 
 let test_depth1_drop_sweep_clean () =
-  match Checker.sweep ~depth:1 ~actions:[ Fault.Drop ] () with
+  match Checker.sweep ~depth:1 ~actions:[ Fault.Drop ] Checker.fault with
   | Error _ -> Alcotest.fail "baseline violated"
   | Ok res ->
       Alcotest.(check bool) "covered every frame" true
@@ -164,14 +164,97 @@ let test_shrinker_minimizes () =
 let test_injected_violation_caught () =
   (* Starve the run of events: the termination invariant must fire, and a
      schedule replayed under the same budget reports it identically. *)
-  let vs = Checker.run_schedule ~max_events:100 [] in
+  let vs = Checker.run_schedule ~max_events:100 Checker.fault [] in
   Alcotest.(check bool) "termination violation" true
     (List.exists
        (fun (v : Checker.violation) -> v.Checker.invariant = "termination")
        vs);
-  match Checker.sweep ~max_events:100 () with
+  match Checker.sweep ~max_events:100 Checker.fault with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "sweep accepted a non-terminating baseline"
+
+(* Unsupported depths and limits are rejected with a typed error before
+   anything is enumerated; the sweep itself refuses them up front. *)
+let test_sweep_rejects_bad_params () =
+  let rejected sc ~depth ~limit =
+    Result.is_error (Checker.validate sc ~depth ~limit)
+  in
+  Alcotest.(check bool) "depth 0" true
+    (rejected Checker.fault ~depth:0 ~limit:600);
+  Alcotest.(check bool) "failover depth 3" true
+    (rejected Checker.failover ~depth:3 ~limit:600);
+  Alcotest.(check bool) "limit 0" true
+    (rejected Checker.crash ~depth:2 ~limit:0);
+  List.iter
+    (fun (_, sc) ->
+      List.iter
+        (fun depth ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s accepts depth %d" (Vcheck.Scenario.name sc)
+               depth)
+            false
+            (rejected sc ~depth ~limit:1))
+        (Vcheck.Scenario.depths sc))
+    Checker.modes;
+  let raises f =
+    match f () with exception Invalid_argument _ -> true | _ -> false
+  in
+  Alcotest.(check bool) "sweep refuses limit 0" true
+    (raises (fun () -> Checker.sweep ~limit:0 Checker.fault));
+  Alcotest.(check bool) "sweep refuses depth 3" true
+    (raises (fun () -> Checker.sweep ~depth:3 ~limit:1 Checker.failover))
+
+(* Every declared depth is one the scenario's enumerator produces. *)
+let test_declared_depths_enumerate () =
+  List.iter
+    (fun (_, Vcheck.Scenario.T s) ->
+      List.iter
+        (fun depth ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s depth %d" s.name depth)
+            true
+            (Seq.length
+               (s.enumerate ~depth ~frames:3 ~actions:Schedule.default_actions)
+            > 0))
+        s.depths)
+    Checker.modes
+
+(* Each accepted flag combination names its own registry entry;
+   --failover absorbs --crash, and any other mix is a conflict. *)
+let test_registry_resolves_modes () =
+  let name flags =
+    match Checker.resolve flags with
+    | Ok sc -> Vcheck.Scenario.name sc
+    | Error e -> Alcotest.fail e
+  in
+  let accepted =
+    [
+      [];
+      [ "--crash" ];
+      [ "--shared" ];
+      [ "--shared"; "--crash" ];
+      [ "--inet" ];
+      [ "--crash"; "--inet" ];
+      [ "--failover" ];
+    ]
+  in
+  let names = List.map name accepted in
+  Alcotest.(check int) "seven distinct entries" 7
+    (List.length (List.sort_uniq compare names));
+  Alcotest.(check (list string)) "one per registry mode"
+    (List.map (fun (_, sc) -> Vcheck.Scenario.name sc) Checker.modes)
+    names;
+  Alcotest.(check string) "--failover --crash" "failover"
+    (name [ "--failover"; "--crash" ]);
+  List.iter
+    (fun flags ->
+      Alcotest.(check bool) (String.concat " " flags) true
+        (Result.is_error (Checker.resolve flags)))
+    [
+      [ "--shared"; "--inet" ];
+      [ "--failover"; "--shared" ];
+      [ "--inet"; "--failover"; "--crash" ];
+    ]
 
 let suite =
   [
@@ -193,4 +276,10 @@ let suite =
     Alcotest.test_case "shrinker minimizes" `Quick test_shrinker_minimizes;
     Alcotest.test_case "injected violation caught" `Quick
       test_injected_violation_caught;
+    Alcotest.test_case "sweep rejects bad depth and limit" `Quick
+      test_sweep_rejects_bad_params;
+    Alcotest.test_case "declared depths enumerate" `Quick
+      test_declared_depths_enumerate;
+    Alcotest.test_case "registry resolves each mode" `Quick
+      test_registry_resolves_modes;
   ]

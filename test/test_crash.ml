@@ -99,7 +99,7 @@ let test_regression_stale_getpid_cache () =
     [ { Schedule.frame = 2; action = Schedule.Restart (Vsim.Time.ms 50) } ]
   in
   Alcotest.(check (list string)) "restart@2 clean" []
-    (violation_strings (Checker.run_crash_schedule s))
+    (violation_strings (Checker.run_schedule Checker.crash s))
 
 (* A depth-2 shape: lose a frame while the server is still down, then
    recover through the retransmission machinery as the host returns. *)
@@ -111,7 +111,7 @@ let test_crash_plus_drop () =
     ]
   in
   Alcotest.(check (list string)) "crash+drop clean" []
-    (violation_strings (Checker.run_crash_schedule s))
+    (violation_strings (Checker.run_schedule Checker.crash s))
 
 (* Regression: session recovery's reopen used to drop the file's cache
    entries — dirty images included — before the re-pushed writes were

@@ -66,10 +66,11 @@ let test_primary_crash_stop_takeover () =
    primary gone for good — found clean by the sweep; keep it that way. *)
 let test_failover_depth2_repro () =
   Alcotest.(check (list string)) "drop@3 crash@9 stays clean" []
-    (invariants (Checker.run_failover_schedule (schedule_of "drop@3 crash@9")))
+    (invariants
+       (Checker.run_schedule Checker.failover (schedule_of "drop@3 crash@9")))
 
 let test_failover_mini_sweep () =
-  match Checker.sweep_failover ~depth:1 ~limit:5 () with
+  match Checker.sweep ~depth:1 ~limit:5 Checker.failover with
   | Error vs ->
       Alcotest.failf "baseline violated: %s"
         (String.concat "; " (invariants vs))
@@ -97,7 +98,7 @@ let test_inet_gateway_outage_repro () =
     (invariants (Checker.inet_violations_of r))
 
 let test_inet_mini_sweep () =
-  match Checker.sweep_inet ~crash:true ~depth:1 ~limit:4 () with
+  match Checker.sweep ~depth:1 ~limit:4 Checker.inet_crash with
   | Error vs ->
       Alcotest.failf "baseline violated: %s"
         (String.concat "; " (invariants vs))

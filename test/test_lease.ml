@@ -300,7 +300,7 @@ let test_shared_workload () =
         Alcotest.(check (list string))
           ("schedule " ^ Schedule.to_string sched)
           []
-          (violation_strings (Checker.run_shared_schedule sched)))
+          (violation_strings (Checker.run_schedule Checker.shared sched)))
     Schedule.
       [
         [ { frame = 2; action = Net Vnet.Fault.Drop } ];

@@ -154,7 +154,7 @@ let test_eventq_cancel_accounting () =
    pure function of the seed — byte-identical for domains 1, 2 and 4. *)
 let test_sweep_domain_determinism () =
   let report domains =
-    match Checker.sweep ~depth:2 ~limit:60 ~domains () with
+    match Checker.sweep ~depth:2 ~limit:60 ~domains Checker.fault with
     | Error _ -> Alcotest.fail "baseline violated"
     | Ok r -> r
   in
@@ -182,7 +182,7 @@ let test_sweep_domain_determinism () =
 let test_sweep_failure_domain_determinism () =
   let failing domains =
     match
-      Checker.sweep ~depth:1 ~limit:40 ~max_events:260 ~domains ()
+      Checker.sweep ~depth:1 ~limit:40 ~max_events:260 ~domains Checker.fault
     with
     | Error _ -> Alcotest.fail "expected a clean baseline"
     | Ok r -> r
