@@ -271,6 +271,12 @@ let capacity_cmd =
                    Receive loop).")
   in
   let run spec mhz clients think duration workers =
+    (* One host is the file server. *)
+    let most = Vworkload.Testbed.max_hosts - 1 in
+    if List.exists (fun n -> n < 1 || n > most) clients then begin
+      Format.eprintf "vsim capacity: --clients needs counts in 1..%d@." most;
+      exit 2
+    end;
     Spec.with_obs spec @@ fun () ->
     let rows =
       Vworkload.Rigs.capacity_sweep ~cpu_model:(model_of_mhz mhz)
@@ -551,6 +557,14 @@ let boot_cmd =
               Format.eprintf "--topology: %s@." e;
               exit 1)
     in
+    let n =
+      List.fold_left (fun a s -> a + s.Vworkload.Topology.seg_hosts) 0 segments
+    in
+    if n < 1 || n > Boot.max_clients then begin
+      Format.eprintf "vsim boot: need 1..%d clients, got %d@." Boot.max_clients
+        n;
+      exit 2
+    end;
     let config = { Boot.default_config with pages; page_bytes } in
     let r = Boot.run ?seed:spec.Spec.seed ~config ~segments () in
     let cpu_s_per_k, bytes_per_k = Boot.cost_per_1000_clients r in

@@ -1,10 +1,17 @@
 (** Per-process address spaces.
 
-    Each V process owns a flat byte-addressable space.  Segments named in
+    Each V process owns a byte-addressable space.  Segments named in
     messages, MoveTo/MoveFrom transfers and file buffers all refer to
     offsets in these spaces, and the kernel genuinely moves the bytes — so
     data-integrity properties (e.g. a page read returns exactly what was
-    written, even under packet loss) are testable end to end. *)
+    written, even under packet loss) are testable end to end.
+
+    A space is page-granular and zero-fill-on-demand, as a diskless
+    workstation's memory is backed only where it is touched.  It is an
+    array of 4 KB pages that all start as one shared, never-written zero
+    page; the first write to a page gives it a private copy.  Creating a
+    space costs O(pages) pointers, not [size] zeroed bytes, and a read of
+    an untouched page yields zeros. *)
 
 type t
 

@@ -61,6 +61,8 @@ type report = {
   media : Vnet.Medium.stats list;
 }
 
+let max_clients = 200
+
 let default_segments ~clients =
   let far = clients / 2 in
   [
@@ -92,7 +94,8 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
   | _ :: _ :: _ -> ()
   | _ -> invalid_arg "Boot.run: need at least two segments");
   let n = List.fold_left (fun a s -> a + s.Topology.seg_hosts) 0 segments in
-  if n < 1 || n > 200 then invalid_arg "Boot.run: need 1..200 clients";
+  if n < 1 || n > max_clients then
+    Fmt.invalid_arg "Boot.run: need 1..%d clients" max_clients;
   if config.pages < 1 || config.pages > 0xffff then
     invalid_arg "Boot.run: bad page count";
   let eng = Vsim.Engine.create ?seed () in

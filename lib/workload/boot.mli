@@ -61,6 +61,9 @@ type report = {
   media : Vnet.Medium.stats list;  (** per segment, in order *)
 }
 
+val max_clients : int
+(** The most clients one storm takes, 200: station addresses are 8 bits. *)
+
 val default_segments : clients:int -> Topology.segment_spec list
 (** The paper's installation shape: a 10 Mb segment (with the boot
     server) and a 3 Mb segment, the clients split evenly. *)
@@ -73,7 +76,8 @@ val run :
   unit ->
   report
 (** One boot storm.  [segments] needs at least two entries; [seg_hosts]
-    is the number of diskless clients on that segment (1..200 total).
+    is the number of diskless clients on that segment (1..{!max_clients}
+    total).
     The boot server always sits on segment 0.  A protocol stall (lost
     END with every client silent) quiesces rather than hangs: the run
     ends with [completed = false]. *)

@@ -11,10 +11,13 @@ type t = {
   hosts : host array;
 }
 
+let max_hosts = 254
+
 let create ?seed ?(medium_config = Vnet.Medium.config_3mb)
     ?(cpu_model = Vhw.Cost_model.sun_10mhz)
     ?(kernel_config = Vkernel.Kernel.default_config) ~hosts () =
-  if hosts < 1 || hosts > 254 then invalid_arg "Testbed.create: bad host count";
+  if hosts < 1 || hosts > max_hosts then
+    invalid_arg "Testbed.create: bad host count";
   let eng = Vsim.Engine.create ?seed () in
   let medium = Vnet.Medium.create eng medium_config in
   let mk i =

@@ -18,6 +18,9 @@ type t = {
   hosts : host array;
 }
 
+val max_hosts : int
+(** 254: hosts take station addresses 1..254, and 255 is broadcast. *)
+
 val create :
   ?seed:int64 ->
   ?medium_config:Vnet.Medium.config ->
@@ -26,7 +29,8 @@ val create :
   hosts:int ->
   unit ->
   t
-(** Defaults: 3 Mb Ethernet, the 10 MHz SUN, default kernel config. *)
+(** Defaults: 3 Mb Ethernet, the 10 MHz SUN, default kernel config.
+    [hosts] must be 1..{!max_hosts}. *)
 
 val host : t -> int -> host
 (** 1-based, by station address. *)

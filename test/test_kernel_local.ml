@@ -208,6 +208,27 @@ let test_spawn_metadata () =
   Alcotest.(check int) "host field" 1 (Vkernel.Pid.host pid);
   Vworkload.Testbed.run tb
 
+(* Words allocated so far in either heap.  [Gc.minor_words] alone misses
+   blocks too big for the minor heap, such as an eagerly zeroed space. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* Address spaces are backed on demand, so a spawn under the default
+   256 KB space costs pointers, not a zeroed buffer. *)
+let test_spawn_allocation () =
+  let tb = Util.testbed ~hosts:1 () in
+  let k = kernel_of tb 1 in
+  let n = 64 in
+  let w0 = allocated_words () in
+  for _ = 1 to n do
+    ignore (K.spawn k (fun _ -> ()) : Vkernel.Pid.t)
+  done;
+  let per_spawn = (allocated_words () -. w0) /. float_of_int n in
+  Vworkload.Testbed.run tb;
+  if per_spawn >= 2000.0 then
+    Alcotest.failf "%.0f words allocated per spawn, want < 2000" per_spawn
+
 let suite =
   [
     Alcotest.test_case "send-receive-reply" `Quick test_send_receive_reply;
@@ -222,4 +243,5 @@ let suite =
     Alcotest.test_case "grant cleared by reply" `Quick test_grant_cleared_after_reply;
     Alcotest.test_case "destroy fails senders" `Quick test_destroy_fails_senders;
     Alcotest.test_case "spawn metadata" `Quick test_spawn_metadata;
+    Alcotest.test_case "spawn allocation" `Quick test_spawn_allocation;
   ]

@@ -7,6 +7,7 @@ let () =
       ("net", Test_net.suite);
       ("msg-pid", Test_msg.suite);
       ("packet", Test_packet.suite);
+      ("mem", Test_mem.suite);
       ("kernel-local", Test_kernel_local.suite);
       ("kernel-remote", Test_kernel_remote.suite);
       ("forward", Test_forward.suite);
