@@ -44,6 +44,14 @@ let local_arg =
 let trials_arg =
   Arg.(value & opt int 100 & info [ "trials" ] ~doc:"Measurement trials.")
 
+(* A bad input: say why on stderr and exit 2. *)
+let usage_error cmd fmt =
+  Format.kasprintf
+    (fun m ->
+      Format.eprintf "vsim %s: %s@." cmd m;
+      exit 2)
+    fmt
+
 let pp_cols (c : Vworkload.Rigs.cols) =
   Format.printf "elapsed      %a ms@." Vsim.Time.pp_ms c.Vworkload.Rigs.elapsed;
   Format.printf "client cpu   %a ms@." Vsim.Time.pp_ms c.Vworkload.Rigs.client_cpu;
@@ -262,21 +270,23 @@ let capacity_cmd =
          & info [ "think" ] ~doc:"Mean think time between requests, ms.")
   in
   let duration =
-    Arg.(value & opt int 4 & info [ "duration" ] ~doc:"Simulated seconds.")
+    Arg.(value & opt int 4
+         & info [ "duration" ] ~doc:"Simulated seconds (at least 1).")
   in
   let workers =
     Arg.(value & opt int 1
          & info [ "workers" ]
-             ~doc:"File-server worker processes (1 = the classic single \
-                   Receive loop).")
+             ~doc:"File-server worker processes, at least 1 (1 = the \
+                   classic single Receive loop).")
   in
   let run spec mhz clients think duration workers =
+    let usage fmt = usage_error "capacity" fmt in
     (* One host is the file server. *)
     let most = Vworkload.Testbed.max_hosts - 1 in
-    if List.exists (fun n -> n < 1 || n > most) clients then begin
-      Format.eprintf "vsim capacity: --clients needs counts in 1..%d@." most;
-      exit 2
-    end;
+    if List.exists (fun n -> n < 1 || n > most) clients then
+      usage "--clients needs counts in 1..%d" most;
+    if duration < 1 then usage "--duration needs at least 1 second";
+    if workers < 1 then usage "--workers needs at least 1";
     Spec.with_obs spec @@ fun () ->
     let rows =
       Vworkload.Rigs.capacity_sweep ~cpu_model:(model_of_mhz mhz)
@@ -286,11 +296,20 @@ let capacity_cmd =
     in
     List.iter
       (fun (clients, (thr, mean, cpu, net)) ->
-        Format.printf
-          "%d workstations: %.1f req/s, mean %.2f ms, server cpu %.0f%%, \
-           network %.1f%%@."
-          clients thr mean (100.0 *. cpu) (100.0 *. net))
-      rows
+        (* The mean of no samples is nan. *)
+        if Float.is_nan mean then
+          Format.printf
+            "%d workstations: no request completed after the warm-up@."
+            clients
+        else
+          Format.printf
+            "%d workstations: %.1f req/s, mean %.2f ms, server cpu %.0f%%, \
+             network %.1f%%@."
+            clients thr mean (100.0 *. cpu) (100.0 *. net))
+      rows;
+    if List.exists (fun (_, (_, mean, _, _)) -> Float.is_nan mean) rows then
+      usage "a run completed no request after the warm-up; lengthen \
+             --duration"
   in
   Cmd.v
     (Cmd.info "capacity" ~doc:"File-server capacity under multi-client load")
@@ -432,10 +451,7 @@ let check_cmd =
   let run spec depth limit repro emit json crash shared inet failover =
     Spec.with_obs spec @@ fun () ->
     let seed = spec.Spec.seed in
-    let fail msg =
-      Format.eprintf "vsim check: %s@." msg;
-      exit 2
-    in
+    let fail msg = usage_error "check" "%s" msg in
     let scenario ~crash =
       List.filter_map
         (fun (on, flag) -> if on then Some flag else None)
@@ -524,47 +540,61 @@ let check_cmd =
 
 let boot_cmd =
   let clients =
-    Arg.(value & opt int 32
+    Arg.(value & opt (some int) None
          & info [ "clients" ] ~docv:"N"
-             ~doc:"Diskless clients booting simultaneously (1..200).")
+             ~doc:(Printf.sprintf
+                     "Diskless clients booting simultaneously (1..%d; \
+                      default 32)."
+                     Vworkload.Boot.max_clients))
   in
   let pages =
     Arg.(value & opt int 128
-         & info [ "pages" ] ~docv:"N" ~doc:"Image size in pages.")
+         & info [ "pages" ] ~docv:"N"
+             ~doc:(Printf.sprintf "Image size in pages (1..%d)."
+                     Vworkload.Boot.max_pages))
   in
   let page_bytes =
     Arg.(value & opt int 512
-         & info [ "page-bytes" ] ~docv:"BYTES" ~doc:"Page payload size.")
+         & info [ "page-bytes" ] ~docv:"BYTES"
+             ~doc:(Printf.sprintf
+                     "Page payload size (1..%d: a page travels in one \
+                      frame)."
+                     Vworkload.Boot.max_page_bytes))
   in
   let topology =
     Arg.(value & opt (some string) None
          & info [ "topology" ] ~docv:"SPEC"
              ~doc:"Segment spec NET:CLIENTS,... (NET is 3mb or 10mb), e.g. \
                    10mb:16,3mb:16; the boot server sits on the first \
-                   segment.  Overrides --clients.  Default: --clients split \
-                   over 10mb,3mb.")
+                   segment.  --clients, if given, must match its total.  \
+                   Default: --clients split over 10mb,3mb.")
   in
   let run spec clients pages page_bytes topology =
-    Spec.with_obs spec @@ fun () ->
     let module Boot = Vworkload.Boot in
+    let usage fmt = usage_error "boot" fmt in
     let segments =
       match topology with
-      | None -> Boot.default_segments ~clients
+      | None ->
+          Boot.default_segments ~clients:(Option.value clients ~default:32)
       | Some s -> (
           match Vworkload.Topology.spec_of_string s with
           | Ok segs -> segs
-          | Error e ->
-              Format.eprintf "--topology: %s@." e;
-              exit 1)
+          | Error e -> usage "--topology: %s" e)
     in
     let n =
       List.fold_left (fun a s -> a + s.Vworkload.Topology.seg_hosts) 0 segments
     in
-    if n < 1 || n > Boot.max_clients then begin
-      Format.eprintf "vsim boot: need 1..%d clients, got %d@." Boot.max_clients
-        n;
-      exit 2
-    end;
+    (match clients with
+    | Some c when c <> n ->
+        usage "--clients %d disagrees with the %d clients of --topology" c n
+    | Some _ | None -> ());
+    if n < 1 || n > Boot.max_clients then
+      usage "need 1..%d clients, got %d" Boot.max_clients n;
+    if pages < 1 || pages > Boot.max_pages then
+      usage "--pages needs 1..%d, got %d" Boot.max_pages pages;
+    if page_bytes < 1 || page_bytes > Boot.max_page_bytes then
+      usage "--page-bytes needs 1..%d, got %d" Boot.max_page_bytes page_bytes;
+    Spec.with_obs spec @@ fun () ->
     let config = { Boot.default_config with pages; page_bytes } in
     let r = Boot.run ?seed:spec.Spec.seed ~config ~segments () in
     let cpu_s_per_k, bytes_per_k = Boot.cost_per_1000_clients r in

@@ -101,22 +101,31 @@ type receive_wait = {
   rw_k : Pid.t * int -> unit;
 }
 
+(* The retransmission timer every exchange (Send, MoveTo, MoveFrom,
+   GetPid) owns: the paper's one recovery rule of Sections 3.2 and 3.3,
+   resend every T up to N times until the answer arrives. *)
+type timer = {
+  mutable tm_handle : Vsim.Engine.handle option;
+  mutable tm_gen : int;
+      (** epoch: a callback from a superseded arm is a no-op *)
+  mutable tm_retries : int;  (** expiries since the last sign of life *)
+  mutable tm_rto : int;  (** the interval the pending arm waits *)
+}
+
 (* Remote-send state of a locally blocked sender. *)
 type rsend = {
   mutable rs_pkt : Packet.t;
   mutable rs_dst_host : int;
-  mutable rs_retries : int;
-  mutable rs_timer : Vsim.Engine.handle option;
-  mutable rs_gen : int;
-      (** timer epoch: a callback from a superseded arm is a no-op *)
+  rs_timer : timer;
+  rs_desc : desc;  (** the blocked sender *)
   rs_born : Vsim.Time.t;
   mutable rs_clean : bool;
-      (** false once anything disturbed the exchange (retransmission,
-          reply-pending, forward, proof-of-life) — Karn's rule: such
-          exchanges contribute no RTT sample *)
+      (** false once a reply-pending, forward or proof-of-life disturbed
+          the exchange — Karn's rule: such exchanges, like retransmitted
+          ones, contribute no RTT sample *)
 }
 
-type desc = {
+and desc = {
   d_pid : Pid.t;
   mutable d_name : string;
   d_mem : Mem.t;
@@ -161,10 +170,9 @@ type mt_out = {
   mto_dst_ptr : int;
   mto_total : int;
   mto_mem : Mem.t;
-  mutable mto_gen : int;  (** invalidates superseded streaming chains *)
-  mutable mto_retries : int;
-  mutable mto_timer : Vsim.Engine.handle option;
-  mutable mto_tgen : int;  (** timer epoch, distinct from the stream epoch *)
+  mutable mto_gen : int;
+      (** invalidates superseded streaming chains; not the timer epoch *)
+  mto_timer : timer;
   mutable mto_wait_since : Vsim.Time.t;
       (** when the full train was last on the wire and we began waiting
           for the Data_ack; 0 until then *)
@@ -197,9 +205,7 @@ type mf_out = {
           outstanding — stale in-flight fragments keep arriving after a
           gap is detected, and NAKing each of them spawns one redundant
           restream per NAK *)
-  mutable mfo_retries : int;
-  mutable mfo_timer : Vsim.Engine.handle option;
-  mutable mfo_tgen : int;  (** timer epoch *)
+  mfo_timer : timer;
   mutable mfo_req_at : Vsim.Time.t;  (** when the last request went out *)
   mfo_done : status -> unit;
 }
@@ -207,9 +213,10 @@ type mf_out = {
 type registry_entry = { re_pid : Pid.t; re_scope : scope }
 
 type getpid_wait = {
-  mutable gw_timer : Vsim.Engine.handle option;
-  mutable gw_tries : int;
-  mutable gw_gen : int;  (** timer epoch *)
+  gw_lid : int;  (** the logical id being resolved *)
+  gw_me : Pid.t;  (** the first asker, source of every broadcast *)
+  mutable gw_seq : int;  (** seq of the latest broadcast *)
+  gw_timer : timer;
   gw_born : Vsim.Time.t;
   mutable gw_waiters : (Pid.t option -> unit) list;
 }
@@ -404,32 +411,31 @@ let rto_base_ns t ~dst_host ~bytes =
 
 let rto_estimate_ns t ~dst_host = rto_base_ns t ~dst_host ~bytes:0
 
-(* The timeout to arm now: base, shifted by the exponential backoff and
-   capped, plus deterministic jitter from the sim RNG.  Jitter is drawn
-   only on backed-off arms so clean runs consume no RNG — the stream seen
-   by the rest of the simulation is untouched unless loss already
-   perturbed it. *)
+(* The base shifted by the exponential backoff and capped: the interval
+   a destination's retransmission timers use right now, before jitter. *)
+let rto_backed_of t (st : rto_state) ~bytes =
+  min (rto_base_of t st ~bytes * (1 lsl min st.rto_backoff 6)) t.cfg.rto_max_ns
+
+(* Without jitter and without touching the RNG, for reclaim horizons
+   that must scale with a backed-off adaptive RTO rather than the static
+   configured timeout. *)
+let rto_current_ns t ~dst_host ~bytes =
+  match t.cfg.rto_mode with
+  | Fixed -> t.cfg.retransmit_timeout_ns
+  | Adaptive -> rto_backed_of t (rto_state t ~dst_host) ~bytes
+
+(* The timeout to arm now: the backed-off interval plus deterministic
+   jitter from the sim RNG.  Jitter is drawn only on backed-off arms so
+   clean runs consume no RNG — the stream seen by the rest of the
+   simulation is untouched unless loss already perturbed it. *)
 let rto_timeout_ns t ~dst_host ~bytes =
   match t.cfg.rto_mode with
   | Fixed -> t.cfg.retransmit_timeout_ns
   | Adaptive ->
       let st = rto_state t ~dst_host in
-      let base = rto_base_of t st ~bytes in
-      let backed = min (base * (1 lsl min st.rto_backoff 6)) t.cfg.rto_max_ns in
+      let backed = rto_backed_of t st ~bytes in
       if st.rto_backoff = 0 then backed
       else backed + Vsim.Rng.int (Vsim.Engine.rng t.eng) (1 + (backed / 8))
-
-(* The interval a peer's retransmission timers plausibly use right now:
-   base shifted by the live backoff and capped, but without jitter and
-   without touching the RNG.  For reclaim horizons that must scale with a
-   backed-off adaptive RTO rather than the static configured timeout. *)
-let rto_current_ns t ~dst_host ~bytes =
-  match t.cfg.rto_mode with
-  | Fixed -> t.cfg.retransmit_timeout_ns
-  | Adaptive ->
-      let st = rto_state t ~dst_host in
-      let base = rto_base_of t st ~bytes in
-      min (base * (1 lsl min st.rto_backoff 6)) t.cfg.rto_max_ns
 
 (* Every retransmission-timer expiry passes through here (both modes):
    count it, grow the backoff, and trace the interval that just fired. *)
@@ -491,6 +497,19 @@ let rto_note_exhausted t ~dst_host : status =
            { host = t.khost; peer = dst_host; fails = st.rto_fails })
   end;
   if st.rto_suspected then Dead else Retryable
+
+(* A finished exchange feeds the failure detector and — when [clean],
+   per Karn's rule — the RTT estimator with the round trip since
+   [since].  Exhaustion statuses must not reset the failure count they
+   just raised; any answer, a NACK included, proves the host alive. *)
+let rto_note_outcome t ~dst_host ~clean ~since st =
+  match st with
+  | Retryable | Dead -> ()
+  | Ok when clean ->
+      rto_note_success t ~dst_host
+        ~sample_ns:(Some (Vsim.Engine.now t.eng - since))
+  | Ok | Nonexistent | Bad_address | No_permission | Too_big ->
+      rto_note_success t ~dst_host ~sample_ns:None
 
 (* ------------------------------------------------------------------ *)
 (* Packet transmission                                                 *)
@@ -565,6 +584,15 @@ let grant_covers (g : grant) ~who ~ptr ~len ~need_write =
      | Msg.Read_only, true | Msg.Write_only, false -> false)
   && ptr >= g.g_ptr
   && ptr + len <= g.g_ptr + g.g_len
+
+(* May [who] touch [len] bytes at [ptr] of [d]'s space?  Only while [d]
+   is blocked on [who] and its grant covers the range. *)
+let grant_allows (d : desc) ~who ~ptr ~len ~need_write =
+  d.d_state = Awaiting_reply who
+  && (match d.d_grant with
+     | Some g -> grant_covers g ~who ~ptr ~len ~need_write
+     | None -> false)
+  && Mem.valid d.d_mem ~pos:ptr ~len
 
 let grant_of_msg msg ~granted_to =
   match Msg.segment msg with
@@ -755,51 +783,104 @@ let reclaim_one_alien t =
   | None -> false
 
 (* ------------------------------------------------------------------ *)
-(* Remote send: retransmission machinery                               *)
+(* Retransmission: one timer, one expiry path                          *)
 
-let cancel_timer = function Some h -> Vsim.Engine.cancel h | None -> ()
+(* What one kind of exchange supplies to the shared timer.  Everything
+   else about the rule — the epoch check, the retry count, backoff,
+   exhaustion and the Backoff/Retransmit trace — belongs to [expire]. *)
+type 'x exchange = {
+  x_kind : Vsim.Eventq.Kind.t;  (** what the profiler charges the timer to *)
+  x_name : string;  (** [kind] of its Backoff and Retransmit events *)
+  x_timer : 'x -> timer;
+  x_dst : 'x -> int;  (** RTO estimator key *)
+  x_bytes : t -> 'x -> int;  (** size margin of the timeout *)
+  x_seq : 'x -> int;
+  x_retry_seq : t -> 'x -> int;
+      (** the seq a retransmission carries: the exchange's own, or a
+          fresh one for each GetPid rebroadcast *)
+  x_live : t -> 'x -> bool;
+  x_resend : t -> 'x -> unit;  (** retransmit, then re-arm *)
+  x_finish : t -> 'x -> status -> unit;
+}
+
+let new_timer () = { tm_handle = None; tm_gen = 0; tm_retries = 0; tm_rto = 0 }
+
+let disarm tm =
+  (match tm.tm_handle with Some h -> Vsim.Engine.cancel h | None -> ());
+  tm.tm_handle <- None;
+  tm.tm_gen <- tm.tm_gen + 1
+
+let rec arm t x v =
+  let tm = x.x_timer v in
+  disarm tm;
+  let gen = tm.tm_gen in
+  tm.tm_rto <- rto_timeout_ns t ~dst_host:(x.x_dst v) ~bytes:(x.x_bytes t v);
+  tm.tm_handle <-
+    Some
+      (Vsim.Engine.after t.eng ~kind:x.x_kind tm.tm_rto (fun () ->
+           expire t x v ~gen))
+
+and expire t x v ~gen =
+  let tm = x.x_timer v in
+  if tm.tm_gen = gen && x.x_live t v then begin
+    tm.tm_handle <- None;
+    tm.tm_retries <- tm.tm_retries + 1;
+    let dst_host = x.x_dst v in
+    rto_note_expiry t ~dst_host ~kind:x.x_name ~seq:(x.x_seq v)
+      ~attempt:tm.tm_retries ~rto_ns:tm.tm_rto;
+    if tm.tm_retries > t.cfg.max_retries then
+      x.x_finish t v (rto_note_exhausted t ~dst_host)
+    else begin
+      let seq = x.x_retry_seq t v in
+      t.s_retrans <- t.s_retrans + 1;
+      if Vsim.Trace.tracing t.eng then
+        Vsim.Trace.event t.eng
+          (Vsim.Event.Retransmit
+             { host = t.khost; kind = x.x_name; seq; attempt = tm.tm_retries });
+      x.x_resend t v
+    end
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Remote send                                                         *)
+
+(* Unblock a sender: Ready again, its reply buffer released.  Returns
+   the continuation that resumes it, if it is still parked. *)
+let unblock_sender (d : desc) =
+  d.d_state <- Ready;
+  let k = d.d_on_reply in
+  d.d_on_reply <- None;
+  d.d_reply_buf <- None;
+  k
+
+let resume_sender t (d : desc) ~cost st =
+  match unblock_sender d with
+  | Some k -> charge_k t cost (fun () -> k st)
+  | None -> ()
 
 let finish_send t (d : desc) st =
   match d.d_rsend with
   | None -> ()
   | Some rs ->
-      cancel_timer rs.rs_timer;
-      rs.rs_timer <- None;
-      rs.rs_gen <- rs.rs_gen + 1;
-      (* Feed the failure detector and — on clean exchanges only (Karn's
-         rule) — the RTT estimator.  Exhaustion statuses must not reset
-         the failure count they just raised. *)
-      (match st with
-      | Ok ->
-          let sample =
-            if rs.rs_clean && rs.rs_retries = 0 then
-              Some (Vsim.Engine.now t.eng - rs.rs_born)
-            else None
-          in
-          rto_note_success t ~dst_host:rs.rs_dst_host ~sample_ns:sample
-      | Retryable | Dead -> ()
-      | Nonexistent | Bad_address | No_permission | Too_big ->
-          (* A NACK answered us: the destination host is alive. *)
-          rto_note_success t ~dst_host:rs.rs_dst_host ~sample_ns:None;
-          if st = Nonexistent then begin
-            (* Proof-positive the pid itself is gone — e.g. its host
-               crashed and restarted, so the local-id space moved on.
-               Any GetPid binding still naming it is stale; drop it so
-               the next lookup re-broadcasts and finds the pid the new
-               incarnation registered. *)
-            let dst = rs.rs_pkt.Packet.dst_pid in
-            let stale =
-              Hashtbl.fold
-                (fun lid p acc -> if Pid.equal p dst then lid :: acc else acc)
-                t.getpid_cache []
-            in
-            List.iter (Hashtbl.remove t.getpid_cache) stale
-          end);
+      disarm rs.rs_timer;
+      rto_note_outcome t ~dst_host:rs.rs_dst_host
+        ~clean:(rs.rs_clean && rs.rs_timer.tm_retries = 0)
+        ~since:rs.rs_born st;
+      if st = Nonexistent then begin
+        (* Proof-positive the pid itself is gone — e.g. its host
+           crashed and restarted, so the local-id space moved on.
+           Any GetPid binding still naming it is stale; drop it so
+           the next lookup re-broadcasts and finds the pid the new
+           incarnation registered. *)
+        let dst = rs.rs_pkt.Packet.dst_pid in
+        let stale =
+          Hashtbl.fold
+            (fun lid p acc -> if Pid.equal p dst then lid :: acc else acc)
+            t.getpid_cache []
+        in
+        List.iter (Hashtbl.remove t.getpid_cache) stale
+      end;
       d.d_rsend <- None;
-      d.d_state <- Ready;
-      let k = d.d_on_reply in
-      d.d_on_reply <- None;
-      d.d_reply_buf <- None;
       let seq = rs.rs_pkt.Packet.seq in
       (* Send_done marks the instant the blocked sender resumes; spans use
          it as the close timestamp, so it must fire inside the context-
@@ -815,48 +896,69 @@ let finish_send t (d : desc) st =
                  status = status_to_string st;
                })
       in
-      (match k with
+      match unblock_sender d with
       | Some k ->
           charge_k t (model t).Vhw.Cost_model.context_switch_ns (fun () ->
               note ();
               k st)
-      | None -> note ())
+      | None -> note ()
 
-let rec arm_send_timer t (d : desc) (rs : rsend) =
-  cancel_timer rs.rs_timer;
-  rs.rs_gen <- rs.rs_gen + 1;
-  let gen = rs.rs_gen in
-  let rto = rto_timeout_ns t ~dst_host:rs.rs_dst_host ~bytes:0 in
-  rs.rs_timer <-
-    Some
-      (Vsim.Engine.after t.eng ~kind:k_rto_send rto (fun () ->
-           retransmit_send t d rs ~gen ~rto))
+let send_live rs =
+  match rs.rs_desc.d_rsend with Some rs' -> rs' == rs | None -> false
 
-and retransmit_send t (d : desc) (rs : rsend) ~gen ~rto =
-  match d.d_rsend with
-  | Some rs' when rs' == rs && rs.rs_gen = gen ->
-      rs.rs_timer <- None;
-      rs.rs_clean <- false;
-      rs.rs_retries <- rs.rs_retries + 1;
-      rto_note_expiry t ~dst_host:rs.rs_dst_host ~kind:"send"
-        ~seq:rs.rs_pkt.Packet.seq ~attempt:rs.rs_retries ~rto_ns:rto;
-      if rs.rs_retries > t.cfg.max_retries then
-        finish_send t d (rto_note_exhausted t ~dst_host:rs.rs_dst_host)
-      else begin
-        t.s_retrans <- t.s_retrans + 1;
-        if Vsim.Trace.tracing t.eng then
-          Vsim.Trace.event t.eng
-            (Vsim.Event.Retransmit
-               {
-                 host = t.khost;
-                 kind = "send";
-                 seq = rs.rs_pkt.Packet.seq;
-                 attempt = rs.rs_retries;
-               });
+let rec send_exchange =
+  {
+    x_kind = k_rto_send;
+    x_name = "send";
+    x_timer = (fun rs -> rs.rs_timer);
+    x_dst = (fun rs -> rs.rs_dst_host);
+    x_bytes = (fun _ _ -> 0);
+    x_seq = (fun rs -> rs.rs_pkt.Packet.seq);
+    x_retry_seq = (fun _ rs -> rs.rs_pkt.Packet.seq);
+    x_live = (fun _ rs -> send_live rs);
+    x_resend =
+      (fun t rs ->
         send_pkt t ~dst_host:rs.rs_dst_host rs.rs_pkt;
-        arm_send_timer t d rs
-      end
-  | Some _ | None -> ()
+        arm t send_exchange rs);
+    x_finish = (fun t rs st -> finish_send t rs.rs_desc st);
+  }
+
+(* The receiver lives (a reply-pending, data from it, a forward): be
+   patient again.  The elapsed time now spans more than a round trip, so
+   the exchange no longer yields an RTT sample. *)
+let send_alive t rs =
+  rs.rs_timer.tm_retries <- 0;
+  rs.rs_clean <- false;
+  arm t send_exchange rs
+
+(* Put blocked sender [d]'s message on the wire as a remote Send to
+   [dst], piggybacking the head of a read-accessible segment (Section
+   3.4).  The timer arms once the packet is out. *)
+let launch_send t (d : desc) msg ~dst ~seq ~clean =
+  let data =
+    match
+      if Msg.piggyback_allowed msg then Msg.readable_segment msg else None
+    with
+    | Some (ptr, len) ->
+        let n = min len t.cfg.max_seg_append in
+        if Mem.valid d.d_mem ~pos:ptr ~len:n then
+          Mem.read d.d_mem ~pos:ptr ~len:n
+        else Bytes.empty
+    | None -> Bytes.empty
+  in
+  let pkt =
+    Packet.make ~op:Packet.Send ~src_pid:d.d_pid ~dst_pid:dst ~seq ~msg ~data
+      ()
+  in
+  let rs =
+    { rs_pkt = pkt; rs_dst_host = Pid.host dst; rs_timer = new_timer ();
+      rs_desc = d; rs_born = Vsim.Engine.now t.eng; rs_clean = clean }
+  in
+  d.d_rsend <- Some rs;
+  d.d_state <- Awaiting_reply dst;
+  send_pkt_k t ~dst_host:(Pid.host dst) pkt (fun () ->
+      charge_async t (model t).Vhw.Cost_model.send_bookkeep_ns;
+      if send_live rs then arm t send_exchange rs)
 
 (* ------------------------------------------------------------------ *)
 (* NACKs and reply-pendings                                            *)
@@ -875,97 +977,62 @@ let send_reply_pending t ~dst_host ~src_pid ~dst_pid ~seq =
 (* ------------------------------------------------------------------ *)
 (* MoveTo / MoveFrom streaming                                         *)
 
-let mt_alive t (mto : mt_out) =
-  match Hashtbl.find_opt t.mt_outs mto.mto_seq with
-  | Some m -> m == mto
-  | None -> false
+(* Is [v] still the entry under [key], not finished or superseded? *)
+let in_table tbl key v =
+  match Hashtbl.find_opt tbl key with Some v' -> v' == v | None -> false
 
-let mf_alive t (mfo : mf_out) =
-  match Hashtbl.find_opt t.mf_outs mfo.mfo_seq with
-  | Some m -> m == mfo
-  | None -> false
+let mt_alive t (mto : mt_out) = in_table t.mt_outs mto.mto_seq mto
+let mf_alive t (mfo : mf_out) = in_table t.mf_outs mfo.mfo_seq mfo
+
+(* The mover resumes after a context switch; Move_done marks the
+   instant. *)
+let move_done t ~seq k st =
+  charge_k t (model t).Vhw.Cost_model.context_switch_ns (fun () ->
+      if Vsim.Trace.tracing t.eng then
+        Vsim.Trace.event t.eng
+          (Vsim.Event.Move_done
+             { host = t.khost; seq; status = status_to_string st });
+      k st)
 
 let mt_finish t (mto : mt_out) st =
   if mt_alive t mto then begin
-    cancel_timer mto.mto_timer;
-    mto.mto_tgen <- mto.mto_tgen + 1;
+    disarm mto.mto_timer;
     Hashtbl.remove t.mt_outs mto.mto_seq;
-    (match st with
-    | Ok ->
-        (* The gap from end-of-train to Data_ack is a pure control round
-           trip — a valid sample when no timer-driven retransmission
-           touched the transfer (Karn). *)
-        let sample =
-          if mto.mto_retries = 0 && mto.mto_wait_since > 0 then
-            Some (Vsim.Engine.now t.eng - mto.mto_wait_since)
-          else None
-        in
-        rto_note_success t ~dst_host:(Pid.host mto.mto_dst) ~sample_ns:sample
-    | Retryable | Dead -> ()
-    | Nonexistent | Bad_address | No_permission | Too_big ->
-        rto_note_success t ~dst_host:(Pid.host mto.mto_dst) ~sample_ns:None);
-    charge_k t (model t).Vhw.Cost_model.context_switch_ns (fun () ->
-        if Vsim.Trace.tracing t.eng then
-          Vsim.Trace.event t.eng
-            (Vsim.Event.Move_done
-               {
-                 host = t.khost;
-                 seq = mto.mto_seq;
-                 status = status_to_string st;
-               });
-        mto.mto_done st)
+    (* The gap from end-of-train to Data_ack is a pure control round
+       trip — a valid sample when no timer-driven retransmission
+       touched the transfer (Karn). *)
+    rto_note_outcome t ~dst_host:(Pid.host mto.mto_dst)
+      ~clean:(mto.mto_timer.tm_retries = 0 && mto.mto_wait_since > 0)
+      ~since:mto.mto_wait_since st;
+    move_done t ~seq:mto.mto_seq mto.mto_done st
   end
 
-let rec mt_arm_timer t (mto : mt_out) =
-  cancel_timer mto.mto_timer;
-  mto.mto_tgen <- mto.mto_tgen + 1;
-  let gen = mto.mto_tgen in
-  (* Size-scaled: the timer is always armed with at most one fragment
-     still outstanding (it arms after the train is on the wire), so the
-     margin covers a fragment, not the whole transfer. *)
-  let rto =
-    rto_timeout_ns t
-      ~dst_host:(Pid.host mto.mto_dst)
-      ~bytes:(min mto.mto_total t.cfg.max_packet_data)
-  in
-  mto.mto_timer <-
-    Some
-      (Vsim.Engine.after t.eng ~kind:k_rto_moveto rto (fun () ->
-           mt_timeout t mto ~gen ~rto))
-
-and mt_timeout t (mto : mt_out) ~gen ~rto =
-  if mt_alive t mto && mto.mto_tgen = gen then begin
-    mto.mto_timer <- None;
-    mto.mto_retries <- mto.mto_retries + 1;
-    rto_note_expiry t
-      ~dst_host:(Pid.host mto.mto_dst)
-      ~kind:"move-to" ~seq:mto.mto_seq ~attempt:mto.mto_retries ~rto_ns:rto;
-    if mto.mto_retries > t.cfg.max_retries then
-      mt_finish t mto
-        (rto_note_exhausted t ~dst_host:(Pid.host mto.mto_dst))
-    else begin
-      t.s_retrans <- t.s_retrans + 1;
-      if Vsim.Trace.tracing t.eng then
-        Vsim.Trace.event t.eng
-          (Vsim.Event.Retransmit
-             {
-               host = t.khost;
-               kind = "move-to";
-               seq = mto.mto_seq;
-               attempt = mto.mto_retries;
-             });
-      (* Probe with an empty fragment at [total]: a receiver that is done
-         re-acks; one mid-transfer NAKs with the offset it needs, giving
-         retransmission from the last correctly received packet. *)
-      let probe =
-        Packet.make ~op:Packet.Data_mt ~src_pid:mto.mto_src
-          ~dst_pid:mto.mto_dst ~seq:mto.mto_seq ~offset:mto.mto_total
-          ~total:mto.mto_total ~aux:mto.mto_dst_ptr ()
-      in
-      send_pkt t ~dst_host:(Pid.host mto.mto_dst) probe;
-      mt_arm_timer t mto
-    end
-  end
+let rec mt_exchange =
+  {
+    x_kind = k_rto_moveto;
+    x_name = "move-to";
+    x_timer = (fun mto -> mto.mto_timer);
+    x_dst = (fun mto -> Pid.host mto.mto_dst);
+    (* Size-scaled: the timer is always armed with at most one fragment
+       still outstanding (it arms after the train is on the wire), so the
+       margin covers a fragment, not the whole transfer. *)
+    x_bytes = (fun t mto -> min mto.mto_total t.cfg.max_packet_data);
+    x_seq = (fun mto -> mto.mto_seq);
+    x_retry_seq = (fun _ mto -> mto.mto_seq);
+    x_live = mt_alive;
+    x_resend =
+      (fun t mto ->
+        (* Probe with an empty fragment at [total]: a receiver that is
+           done re-acks; one mid-transfer NAKs with the offset it needs,
+           giving retransmission from the last correctly received
+           packet. *)
+        send_pkt t ~dst_host:(Pid.host mto.mto_dst)
+          (Packet.make ~op:Packet.Data_mt ~src_pid:mto.mto_src
+             ~dst_pid:mto.mto_dst ~seq:mto.mto_seq ~offset:mto.mto_total
+             ~total:mto.mto_total ~aux:mto.mto_dst_ptr ());
+        arm t mt_exchange mto);
+    x_finish = mt_finish;
+  }
 
 (* Stream MoveTo fragments as maximally-sized packets; one acknowledgement
    at the end, none per packet (Section 3.3). *)
@@ -978,7 +1045,7 @@ let stream_mt t (mto : mt_out) ~from =
     else if cursor >= mto.mto_total then begin
       charge_async t m.Vhw.Cost_model.send_bookkeep_ns;
       mto.mto_wait_since <- Vsim.Engine.now t.eng;
-      mt_arm_timer t mto
+      arm t mt_exchange mto
     end
     else begin
       let len = min t.cfg.max_packet_data (mto.mto_total - cursor) in
@@ -1001,12 +1068,8 @@ let stream_mf t ~(src_desc : desc) ~requester ~seq ~base_ptr ~total ~from =
   let gen = src_desc.d_mf_gen in
   let ok () =
     src_desc.d_mf_gen = gen
-    && src_desc.d_state = Awaiting_reply requester
-    && (match src_desc.d_grant with
-       | Some g ->
-           grant_covers g ~who:requester ~ptr:base_ptr ~len:total
-             ~need_write:false
-       | None -> false)
+    && grant_allows src_desc ~who:requester ~ptr:base_ptr ~len:total
+         ~need_write:false
   in
   let rec go cursor =
     if not (ok ()) then ()
@@ -1027,25 +1090,13 @@ let stream_mf t ~(src_desc : desc) ~requester ~seq ~base_ptr ~total ~from =
 
 let mf_finish t (mfo : mf_out) st =
   if mf_alive t mfo then begin
-    cancel_timer mfo.mfo_timer;
-    mfo.mfo_tgen <- mfo.mfo_tgen + 1;
+    disarm mfo.mfo_timer;
     Hashtbl.remove t.mf_outs mfo.mfo_seq;
-    (match st with
-    | Retryable | Dead -> ()
-    | Ok | Nonexistent | Bad_address | No_permission | Too_big ->
-        (* RTT samples for MoveFrom are taken at first-fragment arrival
-           (handle_data_mf); here we only record liveness. *)
-        rto_note_success t ~dst_host:(Pid.host mfo.mfo_src) ~sample_ns:None);
-    charge_k t (model t).Vhw.Cost_model.context_switch_ns (fun () ->
-        if Vsim.Trace.tracing t.eng then
-          Vsim.Trace.event t.eng
-            (Vsim.Event.Move_done
-               {
-                 host = t.khost;
-                 seq = mfo.mfo_seq;
-                 status = status_to_string st;
-               });
-        mfo.mfo_done st)
+    (* RTT samples for MoveFrom are taken at first-fragment arrival
+       (handle_data_mf); here we only record liveness. *)
+    rto_note_outcome t ~dst_host:(Pid.host mfo.mfo_src) ~clean:false ~since:0
+      st;
+    move_done t ~seq:mfo.mfo_seq mfo.mfo_done st
   end
 
 let rec mf_send_request t (mfo : mf_out) =
@@ -1057,49 +1108,26 @@ let rec mf_send_request t (mfo : mf_out) =
   in
   send_pkt_k t ~dst_host:(Pid.host mfo.mfo_src) req (fun () ->
       charge_async t (model t).Vhw.Cost_model.send_bookkeep_ns;
-      if mf_alive t mfo then mf_arm_timer t mfo)
+      if mf_alive t mfo then arm t mf_exchange mfo)
 
-and mf_arm_timer t (mfo : mf_out) =
-  cancel_timer mfo.mfo_timer;
-  mfo.mfo_tgen <- mfo.mfo_tgen + 1;
-  let gen = mfo.mfo_tgen in
-  (* Re-armed on every fragment arrival, so at most one fragment (or the
-     request round trip) is ever outstanding. *)
-  let rto =
-    rto_timeout_ns t
-      ~dst_host:(Pid.host mfo.mfo_src)
-      ~bytes:(min mfo.mfo_total t.cfg.max_packet_data)
-  in
-  mfo.mfo_timer <-
-    Some
-      (Vsim.Engine.after t.eng ~kind:k_rto_movefrom rto (fun () ->
-           mf_timeout t mfo ~gen ~rto))
-
-and mf_timeout t (mfo : mf_out) ~gen ~rto =
-  if mf_alive t mfo && mfo.mfo_tgen = gen then begin
-    mfo.mfo_timer <- None;
-    mfo.mfo_retries <- mfo.mfo_retries + 1;
-    rto_note_expiry t
-      ~dst_host:(Pid.host mfo.mfo_src)
-      ~kind:"move-from" ~seq:mfo.mfo_seq ~attempt:mfo.mfo_retries ~rto_ns:rto;
-    if mfo.mfo_retries > t.cfg.max_retries then
-      mf_finish t mfo
-        (rto_note_exhausted t ~dst_host:(Pid.host mfo.mfo_src))
-    else begin
-      t.s_retrans <- t.s_retrans + 1;
-      if Vsim.Trace.tracing t.eng then
-        Vsim.Trace.event t.eng
-          (Vsim.Event.Retransmit
-             {
-               host = t.khost;
-               kind = "move-from";
-               seq = mfo.mfo_seq;
-               attempt = mfo.mfo_retries;
-             });
-      mfo.mfo_nak_at <- -1;
-      mf_send_request t mfo
-    end
-  end
+and mf_exchange =
+  {
+    x_kind = k_rto_movefrom;
+    x_name = "move-from";
+    x_timer = (fun mfo -> mfo.mfo_timer);
+    x_dst = (fun mfo -> Pid.host mfo.mfo_src);
+    (* Re-armed on every fragment arrival, so at most one fragment (or the
+       request round trip) is ever outstanding. *)
+    x_bytes = (fun t mfo -> min mfo.mfo_total t.cfg.max_packet_data);
+    x_seq = (fun mfo -> mfo.mfo_seq);
+    x_retry_seq = (fun _ mfo -> mfo.mfo_seq);
+    x_live = mf_alive;
+    x_resend =
+      (fun t mfo ->
+        mfo.mfo_nak_at <- -1;
+        mf_send_request t mfo);
+    x_finish = mf_finish;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Receive path: packet handlers                                       *)
@@ -1192,15 +1220,10 @@ let handle_reply_pkt t (pkt : Packet.t) =
           if Bytes.length pkt.Packet.data > 0 then begin
             let ptr = pkt.Packet.offset
             and len = Bytes.length pkt.Packet.data in
-            let allowed =
-              match d.d_grant with
-              | Some g ->
-                  grant_covers g ~who:pkt.Packet.src_pid ~ptr ~len
-                    ~need_write:true
-                  && Mem.valid d.d_mem ~pos:ptr ~len
-              | None -> false
-            in
-            if allowed then
+            if
+              grant_allows d ~who:pkt.Packet.src_pid ~ptr ~len
+                ~need_write:true
+            then
               Mem.blit_in d.d_mem ~pos:ptr pkt.Packet.data ~src_off:0 ~len
           end;
           d.d_grant <- None;
@@ -1212,13 +1235,7 @@ let handle_reply_pending t (pkt : Packet.t) =
   | None -> ()
   | Some d -> (
       match d.d_rsend with
-      | Some rs when rs.rs_pkt.Packet.seq = pkt.Packet.seq ->
-          (* The receiver lives; be patient indefinitely.  The elapsed
-             time now includes server queueing, so the exchange no longer
-             yields an RTT sample. *)
-          rs.rs_retries <- 0;
-          rs.rs_clean <- false;
-          arm_send_timer t d rs
+      | Some rs when rs.rs_pkt.Packet.seq = pkt.Packet.seq -> send_alive t rs
       | Some _ | None -> ())
 
 let handle_nack t (pkt : Packet.t) =
@@ -1247,13 +1264,9 @@ let handle_data_mt t (pkt : Packet.t) =
      life: a long MoveTo into our space must not trip our own Send
      retransmission (the transfer can far outlast T). *)
   (match find_proc t pkt.Packet.dst_pid with
-  | Some dd when dd.d_state = Awaiting_reply mover -> (
-      match dd.d_rsend with
-      | Some rs ->
-          rs.rs_retries <- 0;
-          rs.rs_clean <- false;
-          arm_send_timer t dd rs
-      | None -> ())
+  | Some ({ d_rsend = Some rs; _ } as dd)
+    when dd.d_state = Awaiting_reply mover ->
+      send_alive t rs
   | Some _ | None -> ());
   let nak expected =
     t.s_naks <- t.s_naks + 1;
@@ -1278,15 +1291,8 @@ let handle_data_mt t (pkt : Packet.t) =
             None
         | Some dd ->
             let ptr = pkt.Packet.aux and len = pkt.Packet.total in
-            let allowed =
-              dd.d_state = Awaiting_reply mover
-              && (match dd.d_grant with
-                 | Some g ->
-                     grant_covers g ~who:mover ~ptr ~len ~need_write:true
-                 | None -> false)
-              && Mem.valid dd.d_mem ~pos:ptr ~len
-            in
-            if not allowed then begin
+            if not (grant_allows dd ~who:mover ~ptr ~len ~need_write:true)
+            then begin
               send_nack t ~dst_host:(Pid.host mover)
                 ~src_pid:pkt.Packet.dst_pid ~dst_pid:mover
                 ~seq:pkt.Packet.seq No_permission;
@@ -1375,7 +1381,7 @@ let handle_data_mf t (pkt : Packet.t) =
       else begin
         (* The request-to-first-data gap is a clean round-trip sample,
            provided no timeout retransmitted the request (Karn). *)
-        if off = 0 && mfo.mfo_retries = 0 then
+        if off = 0 && mfo.mfo_timer.tm_retries = 0 then
           rto_note_success t
             ~dst_host:(Pid.host mfo.mfo_src)
             ~sample_ns:(Some (Vsim.Engine.now t.eng - mfo.mfo_req_at));
@@ -1387,9 +1393,9 @@ let handle_data_mf t (pkt : Packet.t) =
         (* Fresh data: the source is alive, push the timeout out and
            restart the retry budget — retries count consecutive silent
            periods, not total loss over a long transfer. *)
-        mfo.mfo_retries <- 0;
+        mfo.mfo_timer.tm_retries <- 0;
         if mfo.mfo_expected >= mfo.mfo_total then mf_finish t mfo Ok
-        else mf_arm_timer t mfo
+        else arm t mf_exchange mfo
       end
 
 let handle_data_ack t (pkt : Packet.t) =
@@ -1403,9 +1409,7 @@ let handle_data_nak t (pkt : Packet.t) =
   match Hashtbl.find_opt t.mt_outs pkt.Packet.seq with
   | Some mto ->
       mto.mto_gen <- mto.mto_gen + 1;
-      mto.mto_tgen <- mto.mto_tgen + 1;
-      cancel_timer mto.mto_timer;
-      mto.mto_timer <- None;
+      disarm mto.mto_timer;
       stream_mt t mto ~from:pkt.Packet.offset
   | None -> (
       (* NAK of a MoveFrom stream we source: the NAK carries the transfer
@@ -1426,15 +1430,7 @@ let handle_move_from_req t (pkt : Packet.t) =
         ~dst_pid:requester ~seq:pkt.Packet.seq Nonexistent
   | Some sd ->
       let ptr = pkt.Packet.aux and len = pkt.Packet.total in
-      let allowed =
-        sd.d_state = Awaiting_reply requester
-        && (match sd.d_grant with
-           | Some g ->
-               grant_covers g ~who:requester ~ptr ~len ~need_write:false
-           | None -> false)
-        && Mem.valid sd.d_mem ~pos:ptr ~len
-      in
-      if not allowed then
+      if not (grant_allows sd ~who:requester ~ptr ~len ~need_write:false) then
         send_nack t ~dst_host:(Pid.host requester) ~src_pid:pkt.Packet.dst_pid
           ~dst_pid:requester ~seq:pkt.Packet.seq No_permission
       else begin
@@ -1454,9 +1450,7 @@ let handle_fwd_notice t (pkt : Packet.t) =
           let new_pid = Pid.of_int pkt.Packet.aux in
           rs.rs_pkt <- { rs.rs_pkt with Packet.dst_pid = new_pid };
           rs.rs_dst_host <- Pid.host new_pid;
-          rs.rs_retries <- 0;
-          rs.rs_clean <- false;
-          arm_send_timer t d rs;
+          send_alive t rs;
           d.d_state <- Awaiting_reply new_pid;
           (match d.d_grant with
           | Some g -> d.d_grant <- Some { g with granted_to = new_pid }
@@ -1474,6 +1468,11 @@ let handle_getpid_req t (pkt : Packet.t) =
            ~offset:(Pid.to_int re_pid) ())
   | Some { re_scope = Local; _ } | None -> ()
 
+(* Every waiter for [gw]'s logical id learns the answer at once. *)
+let getpid_done t gw result =
+  Hashtbl.remove t.getpid_waits gw.gw_lid;
+  List.iter (fun k -> k result) (List.rev gw.gw_waiters)
+
 let handle_getpid_reply t (pkt : Packet.t) =
   let lid = pkt.Packet.aux in
   let found = Pid.of_int pkt.Packet.offset in
@@ -1481,13 +1480,13 @@ let handle_getpid_reply t (pkt : Packet.t) =
   match Hashtbl.find_opt t.getpid_waits lid with
   | None -> ()
   | Some gw ->
-      cancel_timer gw.gw_timer;
-      gw.gw_gen <- gw.gw_gen + 1;
+      disarm gw.gw_timer;
       (* First-try replies sample the broadcast round trip; the answering
          host's own estimator is credited too, so a later direct exchange
          starts informed. *)
       let sample =
-        if gw.gw_tries = 1 then Some (Vsim.Engine.now t.eng - gw.gw_born)
+        if gw.gw_timer.tm_retries = 0 then
+          Some (Vsim.Engine.now t.eng - gw.gw_born)
         else None
       in
       rto_note_success t ~dst_host:(getpid_dst ~logical_id:lid)
@@ -1496,8 +1495,7 @@ let handle_getpid_reply t (pkt : Packet.t) =
         rto_note_success t
           ~dst_host:(Pid.host pkt.Packet.src_pid)
           ~sample_ns:sample;
-      Hashtbl.remove t.getpid_waits lid;
-      List.iter (fun k -> k (Some found)) (List.rev gw.gw_waiters)
+      getpid_done t gw (Some found)
 
 (* Main receive dispatch, invoked by the NIC after the receive-side CPU
    charge for the packet itself. *)
@@ -1702,13 +1700,7 @@ let destroy t pid =
               Hashtbl.find_opt t.procs (Pid.local entry.q_src)
             with
             | Some sender when sender.d_state = Awaiting_reply pid ->
-                sender.d_state <- Ready;
-                let k = sender.d_on_reply in
-                sender.d_on_reply <- None;
-                sender.d_reply_buf <- None;
-                (match k with
-                | Some k -> charge_k t 0 (fun () -> k Nonexistent)
-                | None -> ())
+                resume_sender t sender ~cost:0 Nonexistent
             | Some _ | None -> ())
           else
             match Hashtbl.find_opt t.aliens entry.q_src with
@@ -1761,32 +1753,15 @@ let crash t =
     Hashtbl.iter
       (fun _ d ->
         d.d_state <- Dead;
-        match d.d_rsend with
-        | Some rs ->
-            cancel_timer rs.rs_timer;
-            rs.rs_timer <- None;
-            rs.rs_gen <- rs.rs_gen + 1
-        | None -> ())
+        match d.d_rsend with Some rs -> disarm rs.rs_timer | None -> ())
       t.procs;
     Hashtbl.iter
       (fun _ mto ->
-        cancel_timer mto.mto_timer;
-        mto.mto_timer <- None;
-        mto.mto_gen <- mto.mto_gen + 1;
-        mto.mto_tgen <- mto.mto_tgen + 1)
+        disarm mto.mto_timer;
+        mto.mto_gen <- mto.mto_gen + 1)
       t.mt_outs;
-    Hashtbl.iter
-      (fun _ mfo ->
-        cancel_timer mfo.mfo_timer;
-        mfo.mfo_timer <- None;
-        mfo.mfo_tgen <- mfo.mfo_tgen + 1)
-      t.mf_outs;
-    Hashtbl.iter
-      (fun _ gw ->
-        cancel_timer gw.gw_timer;
-        gw.gw_timer <- None;
-        gw.gw_gen <- gw.gw_gen + 1)
-      t.getpid_waits;
+    Hashtbl.iter (fun _ mfo -> disarm mfo.mfo_timer) t.mf_outs;
+    Hashtbl.iter (fun _ gw -> disarm gw.gw_timer) t.getpid_waits;
     Hashtbl.reset t.procs;
     Hashtbl.reset t.fibers;
     Hashtbl.reset t.aliens;
@@ -1857,37 +1832,10 @@ let send t msg dst =
   else begin
     t.s_send_remote <- t.s_send_remote + 1;
     charge t m.Vhw.Cost_model.remote_op_extra_ns;
-    (* Piggyback the head of a read-accessible segment (Section 3.4). *)
-    let data =
-      match
-        if Msg.piggyback_allowed msg then Msg.readable_segment msg else None
-      with
-      | Some (ptr, len) ->
-          let n = min len t.cfg.max_seg_append in
-          if Mem.valid d.d_mem ~pos:ptr ~len:n then
-            Mem.read d.d_mem ~pos:ptr ~len:n
-          else Bytes.empty
-      | None -> Bytes.empty
-    in
-    let pkt =
-      Packet.make ~op:Packet.Send ~src_pid:d.d_pid ~dst_pid:dst ~seq ~msg
-        ~data ()
-    in
-    let rs =
-      { rs_pkt = pkt; rs_dst_host = Pid.host dst; rs_retries = 0;
-        rs_timer = None; rs_gen = 0; rs_born = Vsim.Engine.now t.eng;
-        rs_clean = true }
-    in
-    d.d_rsend <- Some rs;
-    d.d_state <- Awaiting_reply dst;
     Vsim.Proc.suspend ~reason:"send-remote" (fun resume ->
         d.d_on_reply <- Some resume;
         d.d_reply_buf <- Some msg;
-        send_pkt_k t ~dst_host:(Pid.host dst) pkt (fun () ->
-            charge_async t m.Vhw.Cost_model.send_bookkeep_ns;
-            match d.d_rsend with
-            | Some rs' when rs' == rs -> arm_send_timer t d rs
-            | Some _ | None -> ()))
+        launch_send t d msg ~dst ~seq ~clean:true)
   end
 
 let receive_gen ?from t msg ~seg =
@@ -1950,22 +1898,16 @@ let reply_gen t msg dst ~seg =
           | Some (destptr, segptr, segsize) ->
               if not (Mem.valid d.d_mem ~pos:segptr ~len:segsize) then
                 Bad_address
+              else if
+                not
+                  (grant_allows dd ~who:d.d_pid ~ptr:destptr ~len:segsize
+                     ~need_write:true)
+              then No_permission
               else begin
-                let allowed =
-                  match dd.d_grant with
-                  | Some g ->
-                      grant_covers g ~who:d.d_pid ~ptr:destptr ~len:segsize
-                        ~need_write:true
-                      && Mem.valid dd.d_mem ~pos:destptr ~len:segsize
-                  | None -> false
-                in
-                if not allowed then No_permission
-                else begin
-                  charge t (segsize * m.Vhw.Cost_model.mem_copy_ns_per_byte);
-                  Mem.transfer ~src:d.d_mem ~src_pos:segptr ~dst:dd.d_mem
-                    ~dst_pos:destptr ~len:segsize;
-                  Ok
-                end
+                charge t (segsize * m.Vhw.Cost_model.mem_copy_ns_per_byte);
+                Mem.transfer ~src:d.d_mem ~src_pos:segptr ~dst:dd.d_mem
+                  ~dst_pos:destptr ~len:segsize;
+                Ok
               end
         in
         match seg_status with
@@ -1983,16 +1925,8 @@ let reply_gen t msg dst ~seg =
             (match dd.d_reply_buf with
             | Some buf -> Msg.blit ~src:msg ~dst:buf
             | None -> ());
-            dd.d_state <- Ready;
             dd.d_grant <- None;
-            let k = dd.d_on_reply in
-            dd.d_on_reply <- None;
-            dd.d_reply_buf <- None;
-            (match k with
-            | Some k ->
-                charge_k t m.Vhw.Cost_model.context_switch_ns (fun () ->
-                    k Ok)
-            | None -> ());
+            resume_sender t dd ~cost:m.Vhw.Cost_model.context_switch_ns Ok;
             Ok
         | (Nonexistent | Bad_address | No_permission | Too_big | Retryable
           | Dead) as err ->
@@ -2065,21 +1999,10 @@ let forward t msg ~from_pid ~to_pid =
          });
   charge t m.Vhw.Cost_model.send_op_ns;
   let fail_sender_local (fd : desc) st =
-    fd.d_state <- Ready;
     fd.d_grant <- None;
-    (match fd.d_rsend with
-    | Some rs ->
-        cancel_timer rs.rs_timer;
-        rs.rs_timer <- None;
-        rs.rs_gen <- rs.rs_gen + 1;
-        fd.d_rsend <- None
-    | None -> ());
-    let k = fd.d_on_reply in
-    fd.d_on_reply <- None;
-    fd.d_reply_buf <- None;
-    match k with
-    | Some k -> charge_k t 0 (fun () -> k st)
-    | None -> ()
+    (match fd.d_rsend with Some rs -> disarm rs.rs_timer | None -> ());
+    fd.d_rsend <- None;
+    resume_sender t fd ~cost:0 st
   in
   if Pid.host from_pid = t.khost then begin
     (* The sender is local to this kernel. *)
@@ -2103,37 +2026,8 @@ let forward t msg ~from_pid ~to_pid =
           (* Re-launch the message as a remote Send on the sender's
              behalf; the sender now waits on the network path. *)
           charge t m.Vhw.Cost_model.remote_op_extra_ns;
-          let data =
-            match
-              if Msg.piggyback_allowed msg then Msg.readable_segment msg
-              else None
-            with
-            | Some (ptr, len) ->
-                let n = min len t.cfg.max_seg_append in
-                if Mem.valid fd.d_mem ~pos:ptr ~len:n then
-                  Mem.read fd.d_mem ~pos:ptr ~len:n
-                else Bytes.empty
-            | None -> Bytes.empty
-          in
-          let seq = next_seq t in
-          let pkt =
-            Packet.make ~op:Packet.Send ~src_pid:from_pid ~dst_pid:to_pid
-              ~seq ~msg ~data ()
-          in
-          let rs =
-            { rs_pkt = pkt; rs_dst_host = Pid.host to_pid; rs_retries = 0;
-              rs_timer = None; rs_gen = 0;
-              rs_born = Vsim.Engine.now t.eng;
-              (* The exchange already spans a forward: never sample it. *)
-              rs_clean = false }
-          in
-          fd.d_rsend <- Some rs;
-          fd.d_state <- Awaiting_reply to_pid;
-          send_pkt_k t ~dst_host:(Pid.host to_pid) pkt (fun () ->
-              charge_async t m.Vhw.Cost_model.send_bookkeep_ns;
-              match fd.d_rsend with
-              | Some rs' when rs' == rs -> arm_send_timer t fd rs
-              | Some _ | None -> ());
+          (* The exchange already spans a forward: never sample it. *)
+          launch_send t fd msg ~dst:to_pid ~seq:(next_seq t) ~clean:false;
           Ok
         end
     | Some _ | None -> No_permission
@@ -2199,6 +2093,30 @@ let forward t msg ~from_pid ~to_pid =
 (* ------------------------------------------------------------------ *)
 (* Data transfer                                                       *)
 
+let note_move t ~dir ~src ~dst ~seq ~bytes ~remote =
+  if Vsim.Trace.tracing t.eng then
+    Vsim.Trace.event t.eng
+      (Vsim.Event.Move
+         {
+           host = t.khost;
+           dir;
+           src = Pid.to_int src;
+           dst = Pid.to_int dst;
+           seq;
+           bytes;
+           remote;
+         })
+
+(* A same-host MoveTo or MoveFrom: one copy between address spaces. *)
+let move_local t ~dir ~(from : desc) ~from_ptr ~(into : desc) ~into_ptr
+    ~count =
+  note_move t ~dir ~src:from.d_pid ~dst:into.d_pid ~seq:0 ~bytes:count
+    ~remote:false;
+  charge t (count * (model t).Vhw.Cost_model.mem_copy_ns_per_byte);
+  Mem.transfer ~src:from.d_mem ~src_pos:from_ptr ~dst:into.d_mem
+    ~dst_pos:into_ptr ~len:count;
+  Ok
+
 let move_to t ~dst_pid ~dst ~src ~count =
   let d = current t in
   let m = model t in
@@ -2209,52 +2127,20 @@ let move_to t ~dst_pid ~dst ~src ~count =
     match find_proc t dst_pid with
     | None -> Nonexistent
     | Some dd ->
-        let allowed =
-          dd.d_state = Awaiting_reply d.d_pid
-          && (match dd.d_grant with
-             | Some g ->
-                 grant_covers g ~who:d.d_pid ~ptr:dst ~len:count
-                   ~need_write:true
-             | None -> false)
-          && Mem.valid dd.d_mem ~pos:dst ~len:count
-        in
-        if not allowed then No_permission
-        else begin
-          if Vsim.Trace.tracing t.eng then
-            Vsim.Trace.event t.eng
-              (Vsim.Event.Move
-                 {
-                   host = t.khost;
-                   dir = Vsim.Event.To;
-                   src = Pid.to_int d.d_pid;
-                   dst = Pid.to_int dst_pid;
-                   seq = 0;
-                   bytes = count;
-                   remote = false;
-                 });
-          charge t (count * m.Vhw.Cost_model.mem_copy_ns_per_byte);
-          Mem.transfer ~src:d.d_mem ~src_pos:src ~dst:dd.d_mem ~dst_pos:dst
-            ~len:count;
-          Ok
-        end
+        if not (grant_allows dd ~who:d.d_pid ~ptr:dst ~len:count
+                  ~need_write:true)
+        then No_permission
+        else
+          move_local t ~dir:Vsim.Event.To ~from:d ~from_ptr:src ~into:dd
+            ~into_ptr:dst ~count
   end
   else begin
     t.s_move_remote <- t.s_move_remote + 1;
     (* Hoisted out of the suspend body (which runs synchronously at
        registration) so the Move event can carry the sequence number. *)
     let seq = next_seq t in
-    if Vsim.Trace.tracing t.eng then
-      Vsim.Trace.event t.eng
-        (Vsim.Event.Move
-           {
-             host = t.khost;
-             dir = Vsim.Event.To;
-             src = Pid.to_int d.d_pid;
-             dst = Pid.to_int dst_pid;
-             seq;
-             bytes = count;
-             remote = true;
-           });
+    note_move t ~dir:Vsim.Event.To ~src:d.d_pid ~dst:dst_pid ~seq ~bytes:count
+      ~remote:true;
     charge t m.Vhw.Cost_model.remote_op_extra_ns;
     Vsim.Proc.suspend ~reason:"moveto" (fun resume ->
         let mto =
@@ -2267,9 +2153,7 @@ let move_to t ~dst_pid ~dst ~src ~count =
             mto_total = count;
             mto_mem = d.d_mem;
             mto_gen = 0;
-            mto_retries = 0;
-            mto_timer = None;
-            mto_tgen = 0;
+            mto_timer = new_timer ();
             mto_wait_since = 0;
             mto_done = resume;
           }
@@ -2288,51 +2172,19 @@ let move_from t ~src_pid ~dst ~src ~count =
     match find_proc t src_pid with
     | None -> Nonexistent
     | Some sd ->
-        let allowed =
-          sd.d_state = Awaiting_reply d.d_pid
-          && (match sd.d_grant with
-             | Some g ->
-                 grant_covers g ~who:d.d_pid ~ptr:src ~len:count
-                   ~need_write:false
-             | None -> false)
-          && Mem.valid sd.d_mem ~pos:src ~len:count
-        in
-        if not allowed then No_permission
-        else begin
-          if Vsim.Trace.tracing t.eng then
-            Vsim.Trace.event t.eng
-              (Vsim.Event.Move
-                 {
-                   host = t.khost;
-                   dir = Vsim.Event.From;
-                   src = Pid.to_int src_pid;
-                   dst = Pid.to_int d.d_pid;
-                   seq = 0;
-                   bytes = count;
-                   remote = false;
-                 });
-          charge t (count * m.Vhw.Cost_model.mem_copy_ns_per_byte);
-          Mem.transfer ~src:sd.d_mem ~src_pos:src ~dst:d.d_mem ~dst_pos:dst
-            ~len:count;
-          Ok
-        end
+        if not (grant_allows sd ~who:d.d_pid ~ptr:src ~len:count
+                  ~need_write:false)
+        then No_permission
+        else
+          move_local t ~dir:Vsim.Event.From ~from:sd ~from_ptr:src ~into:d
+            ~into_ptr:dst ~count
   end
   else begin
     t.s_move_remote <- t.s_move_remote + 1;
     (* Hoisted as in [move_to]: the Move event carries the sequence. *)
     let seq = next_seq t in
-    if Vsim.Trace.tracing t.eng then
-      Vsim.Trace.event t.eng
-        (Vsim.Event.Move
-           {
-             host = t.khost;
-             dir = Vsim.Event.From;
-             src = Pid.to_int src_pid;
-             dst = Pid.to_int d.d_pid;
-             seq;
-             bytes = count;
-             remote = true;
-           });
+    note_move t ~dir:Vsim.Event.From ~src:src_pid ~dst:d.d_pid ~seq
+      ~bytes:count ~remote:true;
     charge t m.Vhw.Cost_model.remote_op_extra_ns;
     Vsim.Proc.suspend ~reason:"movefrom" (fun resume ->
         let mfo =
@@ -2346,9 +2198,7 @@ let move_from t ~src_pid ~dst ~src ~count =
             mfo_mem = d.d_mem;
             mfo_expected = 0;
             mfo_nak_at = -1;
-            mfo_retries = 0;
-            mfo_timer = None;
-            mfo_tgen = 0;
+            mfo_timer = new_timer ();
             mfo_req_at = 0;
             mfo_done = resume;
           }
@@ -2365,50 +2215,33 @@ let set_pid t ~logical_id pid scope =
   charge t (model t).Vhw.Cost_model.syscall_ns;
   Hashtbl.replace t.registry logical_id { re_pid = pid; re_scope = scope }
 
-(* GetPid rides the shared retransmission machinery: each logical id's
+(* GetPid rides the shared retransmission timer: each logical id's
    pseudo-destination gets the same adaptive timer, backoff and stats
    accounting as every other exchange (retransmissions / timeouts_fired),
-   with [1 + max_retries] attempts total. *)
-let rec getpid_broadcast t ~logical_id (gw : getpid_wait) ~me =
-  gw.gw_tries <- gw.gw_tries + 1;
-  if gw.gw_tries > 1 + t.cfg.max_retries then begin
-    ignore (rto_note_exhausted t ~dst_host:(getpid_dst ~logical_id) : status);
-    Hashtbl.remove t.getpid_waits logical_id;
-    List.iter (fun k -> k None) (List.rev gw.gw_waiters)
-  end
-  else begin
-    let pkt =
-      Packet.make ~op:Packet.Getpid_req ~src_pid:me ~dst_pid:Pid.nil
-        ~seq:(next_seq t) ~aux:logical_id ()
-    in
-    if gw.gw_tries > 1 then begin
-      t.s_retrans <- t.s_retrans + 1;
-      if Vsim.Trace.tracing t.eng then
-        Vsim.Trace.event t.eng
-          (Vsim.Event.Retransmit
-             {
-               host = t.khost;
-               kind = "getpid";
-               seq = pkt.Packet.seq;
-               attempt = gw.gw_tries - 1;
-             })
-    end;
-    send_pkt_gen t ~dst_addr:Vnet.Addr.broadcast pkt ignore;
-    gw.gw_gen <- gw.gw_gen + 1;
-    let gen = gw.gw_gen in
-    let rto = rto_timeout_ns t ~dst_host:(getpid_dst ~logical_id) ~bytes:0 in
-    gw.gw_timer <-
-      Some
-        (Vsim.Engine.after t.eng ~kind:k_rto_getpid rto (fun () ->
-             match Hashtbl.find_opt t.getpid_waits logical_id with
-             | Some gw' when gw' == gw && gw.gw_gen = gen ->
-                 gw.gw_timer <- None;
-                 rto_note_expiry t ~dst_host:(getpid_dst ~logical_id)
-                   ~kind:"getpid"
-                   ~seq:pkt.Packet.seq ~attempt:gw.gw_tries ~rto_ns:rto;
-                 getpid_broadcast t ~logical_id gw ~me
-             | Some _ | None -> ()))
-  end
+   with [1 + max_retries] broadcasts total. *)
+let rec getpid_broadcast t gw =
+  send_pkt_gen t ~dst_addr:Vnet.Addr.broadcast
+    (Packet.make ~op:Packet.Getpid_req ~src_pid:gw.gw_me ~dst_pid:Pid.nil
+       ~seq:gw.gw_seq ~aux:gw.gw_lid ())
+    ignore;
+  arm t getpid_exchange gw
+
+and getpid_exchange =
+  {
+    x_kind = k_rto_getpid;
+    x_name = "getpid";
+    x_timer = (fun gw -> gw.gw_timer);
+    x_dst = (fun gw -> getpid_dst ~logical_id:gw.gw_lid);
+    x_bytes = (fun _ _ -> 0);
+    x_seq = (fun gw -> gw.gw_seq);
+    x_retry_seq =
+      (fun t gw ->
+        gw.gw_seq <- next_seq t;
+        gw.gw_seq);
+    x_live = (fun t gw -> in_table t.getpid_waits gw.gw_lid gw);
+    x_resend = getpid_broadcast;
+    x_finish = (fun t gw _ -> getpid_done t gw None);
+  }
 
 let get_pid t ~logical_id scope =
   let d = current t in
@@ -2438,15 +2271,16 @@ let get_pid t ~logical_id scope =
                   | None ->
                       let gw =
                         {
-                          gw_timer = None;
-                          gw_tries = 0;
-                          gw_gen = 0;
+                          gw_lid = logical_id;
+                          gw_me = d.d_pid;
+                          gw_seq = next_seq t;
+                          gw_timer = new_timer ();
                           gw_born = Vsim.Engine.now t.eng;
                           gw_waiters = [ resume ];
                         }
                       in
                       Hashtbl.replace t.getpid_waits logical_id gw;
-                      getpid_broadcast t ~logical_id gw ~me:d.d_pid)))
+                      getpid_broadcast t gw)))
 
 let get_time t =
   let (_ : desc) = current t in

@@ -62,6 +62,13 @@ type report = {
 }
 
 let max_clients = 200
+let max_pages = 0xffff
+
+(* Room for a PAGE frame's 6-byte header on either kind of segment. *)
+let max_page_bytes =
+  min Vnet.Medium.config_3mb.Vnet.Medium.max_payload
+    Vnet.Medium.config_10mb.Vnet.Medium.max_payload
+  - 6
 
 let default_segments ~clients =
   let far = clients / 2 in
@@ -96,8 +103,10 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
   let n = List.fold_left (fun a s -> a + s.Topology.seg_hosts) 0 segments in
   if n < 1 || n > max_clients then
     Fmt.invalid_arg "Boot.run: need 1..%d clients" max_clients;
-  if config.pages < 1 || config.pages > 0xffff then
-    invalid_arg "Boot.run: bad page count";
+  if config.pages < 1 || config.pages > max_pages then
+    Fmt.invalid_arg "Boot.run: need 1..%d pages" max_pages;
+  if config.page_bytes < 1 || config.page_bytes > max_page_bytes then
+    Fmt.invalid_arg "Boot.run: need 1..%d page bytes" max_page_bytes;
   let eng = Vsim.Engine.create ?seed () in
   let media =
     Array.of_list

@@ -64,6 +64,14 @@ type report = {
 val max_clients : int
 (** The most clients one storm takes, 200: station addresses are 8 bits. *)
 
+val max_pages : int
+(** The largest image, 65535 pages: PAGE frames carry 16-bit indices. *)
+
+val max_page_bytes : int
+(** The largest page, 1530 bytes: a PAGE frame (a 6-byte header, then
+    the page) must fit one frame on both the 3 Mb and the 10 Mb
+    segment. *)
+
 val default_segments : clients:int -> Topology.segment_spec list
 (** The paper's installation shape: a 10 Mb segment (with the boot
     server) and a 3 Mb segment, the clients split evenly. *)
@@ -77,7 +85,8 @@ val run :
   report
 (** One boot storm.  [segments] needs at least two entries; [seg_hosts]
     is the number of diskless clients on that segment (1..{!max_clients}
-    total).
+    total).  [config] needs 1..{!max_pages} pages of 1..{!max_page_bytes}
+    bytes; anything else raises [Invalid_argument].
     The boot server always sits on segment 0.  A protocol stall (lost
     END with every client silent) quiesces rather than hangs: the run
     ends with [completed = false]. *)

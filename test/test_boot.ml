@@ -89,6 +89,35 @@ let test_stall_quiesces () =
   Alcotest.(check bool) "the gateway dropped the overflow" true
     (r.Boot.gateway.Vnet.Gateway.queue_drops > 0)
 
+(* The image limits are typed: the largest page still fits one frame on
+   either kind of segment, and anything outside the limits is refused up
+   front instead of failing inside the medium or booting empty pages. *)
+let test_image_limits () =
+  let segments = Boot.default_segments ~clients:2 in
+  let run pages page_bytes =
+    Boot.run ~config:{ small_config with Boot.pages; page_bytes } ~segments ()
+  in
+  let r = run 4 Boot.max_page_bytes in
+  Alcotest.(check int) "largest page boots" Boot.max_page_bytes
+    r.Boot.page_bytes;
+  List.iter
+    (fun (pages, page_bytes) ->
+      match run pages page_bytes with
+      | _ ->
+          Alcotest.failf "%d pages of %d bytes: accepted" pages page_bytes
+      | exception Invalid_argument m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d x %d refused by Boot.run (%s)" pages
+               page_bytes m)
+            true
+            (String.starts_with ~prefix:"Boot.run" m))
+    [
+      (0, 512);
+      (Boot.max_pages + 1, 512);
+      (4, 0);
+      (4, Boot.max_page_bytes + 1);
+    ]
+
 let suite =
   [
     Alcotest.test_case "8 clients boot over two segments" `Quick
@@ -100,4 +129,5 @@ let suite =
     Alcotest.test_case "cost_per_1000_clients cells" `Quick test_cost_per_1000;
     Alcotest.test_case "stalled storm quiesces incomplete" `Quick
       test_stall_quiesces;
+    Alcotest.test_case "image limits" `Quick test_image_limits;
   ]

@@ -34,4 +34,5 @@ let () =
       ("boot", Test_boot.suite);
       ("journal", Test_journal.suite);
       ("crash", Test_crash.suite);
+      ("cli", Test_cli.suite);
     ]

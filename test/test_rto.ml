@@ -136,6 +136,78 @@ let test_adaptive_recovers_faster () =
     true
     (adaptive < fixed)
 
+(* The one retransmission rule, as each exchange sees it against a host
+   that never answers: every expiry traces a Backoff, every expiry but
+   the last resends and traces a Retransmit, and the last surfaces the
+   exhaustion.  GetPid takes a fresh seq for each rebroadcast, so its
+   Retransmit carries the new seq while the Backoff before it carries
+   the old one. *)
+let test_exhaustion_per_exchange () =
+  let cfg = K.default_config in
+  let n = cfg.K.max_retries in
+  let void = Vkernel.Pid.make ~host:200 ~local:1 in
+  let run f =
+    let tb = Util.testbed ~hosts:2 () in
+    let k1 = kernel_of tb 1 in
+    let seen = ref [] in
+    Vsim.Trace.attach tb.Vworkload.Testbed.eng (fun _ ev ->
+        match ev with
+        | Vsim.Event.Backoff { kind; seq; attempt; _ } ->
+            seen := ("backoff", kind, seq, attempt) :: !seen
+        | Vsim.Event.Retransmit { kind; seq; attempt; _ } ->
+            seen := ("retransmit", kind, seq, attempt) :: !seen
+        | _ -> ());
+    let result = ref "" in
+    Util.run_as_process tb ~host:1 (fun _ -> result := f k1);
+    (List.rev !seen, K.stats k1, !result)
+  in
+  let status st = K.status_to_string st in
+  let cases =
+    [
+      ( "send",
+        false,
+        fun k1 -> status (K.send k1 (Msg.create ()) void) );
+      ( "move-to",
+        false,
+        fun k1 ->
+          status (K.move_to k1 ~dst_pid:void ~dst:0 ~src:0 ~count:2048) );
+      ( "move-from",
+        false,
+        fun k1 ->
+          status (K.move_from k1 ~src_pid:void ~dst:0 ~src:0 ~count:2048) );
+      ( "getpid",
+        true,
+        fun k1 ->
+          match K.get_pid k1 ~logical_id:404 K.Any with
+          | None -> "none"
+          | Some _ -> "found" );
+    ]
+  in
+  List.iter
+    (fun (kind, fresh_seq, f) ->
+      let events, s, result = run f in
+      let seq i = if fresh_seq then 1 + i else 1 in
+      let expected =
+        List.concat
+          (List.init n (fun i ->
+               [
+                 ("backoff", kind, seq i, i + 1);
+                 ("retransmit", kind, seq (i + 1), i + 1);
+               ]))
+        @ [ ("backoff", kind, seq n, n + 1) ]
+      in
+      Alcotest.(check (list (pair (pair string string) (pair int int))))
+        (kind ^ " backoff/retransmit sequence")
+        (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) expected)
+        (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) events);
+      Alcotest.(check int) (kind ^ " retransmissions") n s.K.retransmissions;
+      Alcotest.(check int) (kind ^ " timeouts") (1 + n) s.K.timeouts_fired;
+      Alcotest.(check string)
+        (kind ^ " final status")
+        (if fresh_seq then "none" else status K.Retryable)
+        result)
+    cases
+
 let suite =
   [
     Alcotest.test_case "estimator converges" `Quick test_estimator_converges;
@@ -147,4 +219,6 @@ let suite =
       test_determinism_under_loss;
     Alcotest.test_case "adaptive recovers faster" `Quick
       test_adaptive_recovers_faster;
+    Alcotest.test_case "exhaustion per exchange" `Quick
+      test_exhaustion_per_exchange;
   ]
