@@ -19,6 +19,59 @@
 open Cmdliner
 module Spec = Vsim_cli.Spec
 
+(* A bad input: say why on stderr and exit 2. *)
+let usage_error cmd fmt =
+  Format.kasprintf
+    (fun m ->
+      Format.eprintf "vsim %s: %s@." cmd m;
+      exit 2)
+    fmt
+
+(* --- validated flags ------------------------------------------------- *)
+
+(* A flag whose value [parse] must accept.  Anything else, malformed or
+   out of range, is a usage error like every other bad input: it exits 2
+   while the command line is parsed, before any simulation starts. *)
+let checked ~want parse pp cmd name ?docv ~doc default =
+  let parse s =
+    match parse s with
+    | Some v -> Ok v
+    | None -> usage_error cmd "--%s needs %s, got %S" name want s
+  in
+  Arg.(value & opt (conv (parse, pp)) default & info [ name ] ?docv ~doc)
+
+let int_in ?want ~lo ~hi =
+  let want =
+    match want with
+    | Some w -> w
+    | None when hi = max_int -> Printf.sprintf "an integer of at least %d" lo
+    | None -> Printf.sprintf "an integer in %d..%d" lo hi
+  in
+  checked ~want
+    (fun s ->
+      match int_of_string_opt s with
+      | Some n when lo <= n && n <= hi -> Some n
+      | Some _ | None -> None)
+    Format.pp_print_int
+
+let positive_int = int_in ~lo:1 ~hi:max_int
+let count = int_in ~lo:0 ~hi:max_int
+
+(* Milliseconds, as every duration flag is given. *)
+let duration_ms = int_in ~want:"a duration of 0 ms or more" ~lo:0 ~hi:max_int
+
+let probability =
+  checked ~want:"a probability in [0, 1]"
+    (fun s ->
+      match float_of_string_opt s with
+      | Some p when p >= 0.0 && p <= 1.0 -> Some p
+      | Some _ | None -> None)
+    Format.pp_print_float
+
+(* A byte range of a process's address space. *)
+let byte_count =
+  int_in ~lo:0 ~hi:Vkernel.Kernel.default_config.Vkernel.Kernel.default_mem_size
+
 let model_of_mhz = function
   | 8 -> Vhw.Cost_model.sun_8mhz
   | 10 -> Vhw.Cost_model.sun_10mhz
@@ -29,28 +82,23 @@ let medium_of_net = function
   | 10 -> Vnet.Medium.config_10mb
   | _ -> invalid_arg "--net must be 3 or 10"
 
-let mhz_arg =
-  Arg.(value & opt int 10 & info [ "mhz" ] ~docv:"MHZ"
-         ~doc:"Processor speed: 8 and 10 are the paper's calibrated SUNs; \
-               other values cycle-scale the 10 MHz model.")
+let mhz_arg cmd =
+  int_in ~want:"a clock rate of at least 1 MHz" ~lo:1 ~hi:max_int cmd "mhz"
+    ~docv:"MHZ"
+    ~doc:"Processor speed: 8 and 10 are the paper's calibrated SUNs; \
+          other values cycle-scale the 10 MHz model."
+    10
 
-let net_arg =
-  Arg.(value & opt int 3 & info [ "net" ] ~docv:"MBITS"
-         ~doc:"Ethernet: 3 (experimental 2.94 Mb/s) or 10.")
+let net_arg cmd =
+  checked ~want:"3 or 10"
+    (fun s -> match s with "3" -> Some 3 | "10" -> Some 10 | _ -> None)
+    Format.pp_print_int cmd "net" ~docv:"MBITS"
+    ~doc:"Ethernet: 3 (experimental 2.94 Mb/s) or 10." 3
 
 let local_arg =
   Arg.(value & flag & info [ "local" ] ~doc:"Same-workstation operation.")
 
-let trials_arg =
-  Arg.(value & opt int 100 & info [ "trials" ] ~doc:"Measurement trials.")
-
-(* A bad input: say why on stderr and exit 2. *)
-let usage_error cmd fmt =
-  Format.kasprintf
-    (fun m ->
-      Format.eprintf "vsim %s: %s@." cmd m;
-      exit 2)
-    fmt
+let trials_arg cmd = positive_int cmd "trials" ~doc:"Measurement trials." 100
 
 let pp_cols (c : Vworkload.Rigs.cols) =
   Format.printf "elapsed      %a ms@." Vsim.Time.pp_ms c.Vworkload.Rigs.elapsed;
@@ -73,13 +121,19 @@ let ipc_cmd =
            ~medium_config:(medium_of_net net) ?seed ())
   in
   Cmd.v (Cmd.info "ipc" ~doc:"Send-Receive-Reply message exchange")
-    Term.(const run $ Spec.term $ mhz_arg $ net_arg $ local_arg $ trials_arg)
+    Term.(const run $ Spec.term $ mhz_arg "ipc" $ net_arg "ipc" $ local_arg
+          $ trials_arg "ipc")
 
 (* --- penalty --------------------------------------------------------- *)
 
 let penalty_cmd =
   let bytes =
-    Arg.(value & opt int 1024 & info [ "bytes" ] ~doc:"Datagram size.")
+    (* One datagram is one frame. *)
+    int_in ~lo:0
+      ~hi:
+        (min Vnet.Medium.config_3mb.Vnet.Medium.max_payload
+           Vnet.Medium.config_10mb.Vnet.Medium.max_payload)
+      "penalty" "bytes" ~doc:"Datagram size." 1024
   in
   let run spec mhz net n trials =
     Spec.with_obs spec @@ fun () ->
@@ -95,14 +149,13 @@ let penalty_cmd =
   Cmd.v
     (Cmd.info "penalty"
        ~doc:"Network penalty: one-way memory-to-memory datagram time")
-    Term.(const run $ Spec.term $ mhz_arg $ net_arg $ bytes $ trials_arg)
+    Term.(const run $ Spec.term $ mhz_arg "penalty" $ net_arg "penalty" $ bytes
+          $ trials_arg "penalty")
 
 (* --- move ------------------------------------------------------------ *)
 
 let move_cmd =
-  let bytes =
-    Arg.(value & opt int 1024 & info [ "bytes" ] ~doc:"Transfer size.")
-  in
+  let bytes = byte_count "move" "bytes" ~doc:"Transfer size." 1024 in
   let from_flag =
     Arg.(value & flag & info [ "from" ] ~doc:"MoveFrom instead of MoveTo.")
   in
@@ -122,8 +175,8 @@ let move_cmd =
            ~medium_config:(medium_of_net net) ~count ~to_remote ?seed ())
   in
   Cmd.v (Cmd.info "move" ~doc:"MoveTo/MoveFrom bulk data transfer")
-    Term.(const run $ Spec.term $ mhz_arg $ net_arg $ local_arg $ bytes
-          $ from_flag)
+    Term.(const run $ Spec.term $ mhz_arg "move" $ net_arg "move" $ local_arg
+          $ bytes $ from_flag)
 
 (* --- page ------------------------------------------------------------ *)
 
@@ -138,16 +191,17 @@ let page_cmd =
                    the segment path (2 packets).")
   in
   let cache_blocks_arg =
-    Arg.(value & opt int 0
-         & info [ "cache-blocks" ]
-             ~doc:"Client block-cache capacity in blocks; 0 disables the \
-                   cache and uses the plain per-protocol stubs.")
+    count "page" "cache-blocks"
+      ~doc:"Client block-cache capacity in blocks; 0 disables the cache \
+            and uses the plain per-protocol stubs."
+      0
   in
   let cache_policy_arg =
-    Arg.(value & opt string "wt"
-         & info [ "cache-policy" ]
-             ~doc:"Cache write policy: wt (write-through) or wb \
-                   (write-back).")
+    checked ~want:"wt or wb" Vfs.Cache.policy_of_string
+      (fun ppf p -> Format.pp_print_string ppf (Vfs.Cache.policy_to_string p))
+      "page" "cache-policy"
+      ~doc:"Cache write policy: wt (write-through) or wb (write-back)."
+      Vfs.Cache.Write_through
   in
   let pp_cache_stats = function
     | Some s ->
@@ -159,12 +213,12 @@ let page_cmd =
     | None -> ()
   in
   let workers_arg =
-    Arg.(value & opt int 1
-         & info [ "workers" ]
-             ~doc:"File-server worker processes (1 = the classic single \
-                   Receive loop).")
+    positive_int "page" "workers"
+      ~doc:"File-server worker processes (1 = the classic single Receive \
+            loop)."
+      1
   in
-  let run spec mhz net local write basic cache_blocks cache_policy workers =
+  let run spec mhz net local write basic cache_blocks policy workers =
     Spec.with_obs spec @@ fun () ->
     let seed = spec.Spec.seed in
     let cpu_model = model_of_mhz mhz
@@ -174,48 +228,41 @@ let page_cmd =
         (Vworkload.Rigs.page_op ~cpu_model ~medium_config ~workers ?seed
            ~client_host:(if local then 1 else 2)
            ~write ~basic ())
-    else
-      match Vfs.Cache.policy_of_string cache_policy with
-      | None ->
-          Fmt.failwith "unknown cache policy %S (expected wt or wb)"
-            cache_policy
-      | Some policy ->
-          if write then begin
-            let per_write, flush_ns, stats =
-              Vworkload.Rigs.cached_write ~cpu_model ~medium_config ?seed
-                ~cache_blocks ~policy ()
-            in
-            Format.printf "per write    %a ms (%s)@." Vsim.Time.pp_ms
-              per_write
-              (Vfs.Cache.policy_to_string policy);
-            Format.printf "flush total  %a ms@." Vsim.Time.pp_ms flush_ns;
-            pp_cache_stats stats
-          end
-          else begin
-            let r =
-              Vworkload.Rigs.cached_read ~cpu_model ~medium_config ?seed
-                ~cache_blocks ~policy ()
-            in
-            Format.printf "cold read    %a ms@." Vsim.Time.pp_ms
-              r.Vworkload.Rigs.cold_ns;
-            Format.printf "warm read    %a ms@." Vsim.Time.pp_ms
-              r.Vworkload.Rigs.warm_ns;
-            pp_cache_stats r.Vworkload.Rigs.cache_stats
-          end
+    else if write then begin
+      let per_write, flush_ns, stats =
+        Vworkload.Rigs.cached_write ~cpu_model ~medium_config ?seed
+          ~cache_blocks ~policy ()
+      in
+      Format.printf "per write    %a ms (%s)@." Vsim.Time.pp_ms per_write
+        (Vfs.Cache.policy_to_string policy);
+      Format.printf "flush total  %a ms@." Vsim.Time.pp_ms flush_ns;
+      pp_cache_stats stats
+    end
+    else begin
+      let r =
+        Vworkload.Rigs.cached_read ~cpu_model ~medium_config ?seed
+          ~cache_blocks ~policy ()
+      in
+      Format.printf "cold read    %a ms@." Vsim.Time.pp_ms
+        r.Vworkload.Rigs.cold_ns;
+      Format.printf "warm read    %a ms@." Vsim.Time.pp_ms
+        r.Vworkload.Rigs.warm_ns;
+      pp_cache_stats r.Vworkload.Rigs.cache_stats
+    end
   in
   Cmd.v
     (Cmd.info "page"
        ~doc:"512-byte page access against a file server, optionally \
              through a client block cache")
-    Term.(const run $ Spec.term $ mhz_arg $ net_arg $ local_arg $ write_flag
-          $ basic_flag $ cache_blocks_arg $ cache_policy_arg $ workers_arg)
+    Term.(const run $ Spec.term $ mhz_arg "page" $ net_arg "page" $ local_arg
+          $ write_flag $ basic_flag $ cache_blocks_arg $ cache_policy_arg
+          $ workers_arg)
 
 (* --- load ------------------------------------------------------------ *)
 
 let load_cmd =
   let unit_arg =
-    Arg.(value & opt int 4096
-         & info [ "unit" ] ~doc:"MoveTo transfer unit in bytes.")
+    positive_int "load" "unit" ~doc:"MoveTo transfer unit in bytes." 4096
   in
   let run spec mhz net local transfer_unit =
     Spec.with_obs spec @@ fun () ->
@@ -230,17 +277,18 @@ let load_cmd =
       (65536.0 /. 1024.0 /. Vsim.Time.to_float_s c.Vworkload.Rigs.elapsed)
   in
   Cmd.v (Cmd.info "load" ~doc:"64-kilobyte program load")
-    Term.(const run $ Spec.term $ mhz_arg $ net_arg $ local_arg $ unit_arg)
+    Term.(const run $ Spec.term $ mhz_arg "load" $ net_arg "load" $ local_arg
+          $ unit_arg)
 
 (* --- seq ------------------------------------------------------------- *)
 
 let seq_cmd =
   let latency =
-    Arg.(value & opt int 15
-         & info [ "latency" ] ~doc:"Server disk latency in ms.")
+    duration_ms "seq" "latency" ~doc:"Server disk latency in ms." 15
   in
   let pages =
-    Arg.(value & opt int 30 & info [ "pages" ] ~doc:"File length in pages.")
+    int_in ~lo:1 ~hi:(Vfs.Fs.max_file_size / Vfs.Fs.block_size) "seq" "pages"
+      ~doc:"File length in pages." 30
   in
   let run spec mhz latency npages =
     Spec.with_obs spec @@ fun () ->
@@ -253,40 +301,42 @@ let seq_cmd =
   Cmd.v
     (Cmd.info "seq"
        ~doc:"Sequential file read against a read-ahead file server")
-    Term.(const run $ Spec.term $ mhz_arg $ latency $ pages)
+    Term.(const run $ Spec.term $ mhz_arg "seq" $ latency $ pages)
 
 (* --- capacity --------------------------------------------------------- *)
 
 let capacity_cmd =
   let clients =
-    Arg.(value & opt (list int) [ 10 ]
-         & info [ "clients" ] ~docv:"LIST"
-             ~doc:"Diskless workstation counts: a single value or a \
-                   comma-separated sweep (e.g. 5,10,20), one closed-loop \
-                   run per value, fanned out over --domains.")
-  in
-  let think =
-    Arg.(value & opt int 320
-         & info [ "think" ] ~doc:"Mean think time between requests, ms.")
-  in
-  let duration =
-    Arg.(value & opt int 4
-         & info [ "duration" ] ~doc:"Simulated seconds (at least 1).")
-  in
-  let workers =
-    Arg.(value & opt int 1
-         & info [ "workers" ]
-             ~doc:"File-server worker processes, at least 1 (1 = the \
-                   classic single Receive loop).")
-  in
-  let run spec mhz clients think duration workers =
-    let usage fmt = usage_error "capacity" fmt in
     (* One host is the file server. *)
     let most = Vworkload.Testbed.max_hosts - 1 in
-    if List.exists (fun n -> n < 1 || n > most) clients then
-      usage "--clients needs counts in 1..%d" most;
-    if duration < 1 then usage "--duration needs at least 1 second";
-    if workers < 1 then usage "--workers needs at least 1";
+    checked
+      ~want:(Printf.sprintf "counts in 1..%d" most)
+      (fun s ->
+        let ns = List.map int_of_string_opt (String.split_on_char ',' s) in
+        if List.for_all (function Some n -> 1 <= n && n <= most | None -> false) ns
+        then Some (List.map Option.get ns)
+        else None)
+      Format.(pp_print_list ~pp_sep:(fun ppf () -> pp_print_char ppf ',') pp_print_int)
+      "capacity" "clients" ~docv:"LIST"
+      ~doc:"Diskless workstation counts: a single value or a \
+            comma-separated sweep (e.g. 5,10,20), one closed-loop run per \
+            value, fanned out over --domains."
+      [ 10 ]
+  in
+  let think =
+    duration_ms "capacity" "think" ~doc:"Mean think time between requests, ms."
+      320
+  in
+  let duration =
+    positive_int "capacity" "duration" ~doc:"Simulated seconds (at least 1)." 4
+  in
+  let workers =
+    positive_int "capacity" "workers"
+      ~doc:"File-server worker processes, at least 1 (1 = the classic \
+            single Receive loop)."
+      1
+  in
+  let run spec mhz clients think duration workers =
     Spec.with_obs spec @@ fun () ->
     let rows =
       Vworkload.Rigs.capacity_sweep ~cpu_model:(model_of_mhz mhz)
@@ -308,31 +358,27 @@ let capacity_cmd =
             clients thr mean (100.0 *. cpu) (100.0 *. net))
       rows;
     if List.exists (fun (_, (_, mean, _, _)) -> Float.is_nan mean) rows then
-      usage "a run completed no request after the warm-up; lengthen \
-             --duration"
+      usage_error "capacity"
+        "a run completed no request after the warm-up; lengthen --duration"
   in
   Cmd.v
     (Cmd.info "capacity" ~doc:"File-server capacity under multi-client load")
-    Term.(const run $ Spec.term $ mhz_arg $ clients $ think $ duration
-          $ workers)
+    Term.(const run $ Spec.term $ mhz_arg "capacity" $ clients $ think
+          $ duration $ workers)
 
 (* --- fault ------------------------------------------------------------ *)
 
 let fault_cmd =
-  let drop =
-    Arg.(value & opt float 0.0 & info [ "drop" ] ~doc:"Frame drop probability.")
-  in
+  let drop = probability "fault" "drop" ~doc:"Frame drop probability." 0.0 in
   let corrupt =
-    Arg.(value & opt float 0.0
-         & info [ "corrupt" ] ~doc:"Frame corruption probability.")
+    probability "fault" "corrupt" ~doc:"Frame corruption probability." 0.0
   in
   let bug =
     Arg.(value & flag
          & info [ "bug" ] ~doc:"The 3 Mb interface hardware bug (1/2000).")
   in
   let timeout =
-    Arg.(value & opt int 200
-         & info [ "timeout" ] ~doc:"Retransmission timeout T in ms.")
+    duration_ms "fault" "timeout" ~doc:"Retransmission timeout T in ms." 200
   in
   let rto_mode =
     let modes =
@@ -364,8 +410,8 @@ let fault_cmd =
   in
   Cmd.v
     (Cmd.info "fault" ~doc:"Message exchange under network faults")
-    Term.(const run $ Spec.term $ mhz_arg $ net_arg $ drop $ corrupt $ bug
-          $ timeout $ rto_mode $ trials_arg)
+    Term.(const run $ Spec.term $ mhz_arg "fault" $ net_arg "fault" $ drop
+          $ corrupt $ bug $ timeout $ rto_mode $ trials_arg "fault")
 
 (* --- check: systematic fault-schedule exploration --------------------- *)
 
@@ -548,18 +594,18 @@ let boot_cmd =
                      Vworkload.Boot.max_clients))
   in
   let pages =
-    Arg.(value & opt int 128
-         & info [ "pages" ] ~docv:"N"
-             ~doc:(Printf.sprintf "Image size in pages (1..%d)."
-                     Vworkload.Boot.max_pages))
+    int_in ~lo:1 ~hi:Vworkload.Boot.max_pages "boot" "pages" ~docv:"N"
+      ~doc:
+        (Printf.sprintf "Image size in pages (1..%d)." Vworkload.Boot.max_pages)
+      128
   in
   let page_bytes =
-    Arg.(value & opt int 512
-         & info [ "page-bytes" ] ~docv:"BYTES"
-             ~doc:(Printf.sprintf
-                     "Page payload size (1..%d: a page travels in one \
-                      frame)."
-                     Vworkload.Boot.max_page_bytes))
+    int_in ~lo:1 ~hi:Vworkload.Boot.max_page_bytes "boot" "page-bytes"
+      ~docv:"BYTES"
+      ~doc:
+        (Printf.sprintf "Page payload size (1..%d: a page travels in one frame)."
+           Vworkload.Boot.max_page_bytes)
+      512
   in
   let topology =
     Arg.(value & opt (some string) None
@@ -590,10 +636,6 @@ let boot_cmd =
     | Some _ | None -> ());
     if n < 1 || n > Boot.max_clients then
       usage "need 1..%d clients, got %d" Boot.max_clients n;
-    if pages < 1 || pages > Boot.max_pages then
-      usage "--pages needs 1..%d, got %d" Boot.max_pages pages;
-    if page_bytes < 1 || page_bytes > Boot.max_page_bytes then
-      usage "--page-bytes needs 1..%d, got %d" Boot.max_page_bytes page_bytes;
     Spec.with_obs spec @@ fun () ->
     let config = { Boot.default_config with pages; page_bytes } in
     let r = Boot.run ?seed:spec.Spec.seed ~config ~segments () in
@@ -695,7 +737,7 @@ let run_cmd =
        ~doc:"Assemble a program and run it on a simulated diskless \
              workstation (loaded from the file server, interpreted with V \
              syscalls)")
-    Term.(const run $ Spec.term $ mhz_arg $ net_arg $ file $ trace)
+    Term.(const run $ Spec.term $ mhz_arg "run" $ net_arg "run" $ file $ trace)
 
 let () =
   let info =

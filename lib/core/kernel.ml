@@ -155,7 +155,9 @@ type alien = {
   mutable al_reply : Packet.t option;
   mutable al_fwd : Pid.t;  (** where the message went when forwarded *)
   al_msg : Msg.t;
-  al_data : Bytes.t;  (** piggybacked segment prefix *)
+  al_send : Packet.t;
+      (** the Send as received; its data, a view into the frame, is the
+          piggybacked segment prefix *)
   mutable al_replied_at : Vsim.Time.t;
       (** when the cached reply was last (re)sent; the reclaim grace
           period counts from here *)
@@ -533,15 +535,18 @@ let relay_cost t len =
   + m.Vhw.Cost_model.send_op_ns
   + (len * m.Vhw.Cost_model.mem_copy_ns_per_byte)
 
-let send_pkt_gen t ?(pre_cost = 0) ~dst_addr pkt k =
+(* [from_mem] is a fragment's data, still in the sender's space: it is
+   copied straight into the frame as the frame is built. *)
+let send_pkt_gen t ?(pre_cost = 0) ?from_mem ~dst_addr pkt k =
   if t.down then ()
     (* a crashed host transmits nothing; the continuation belongs to
        protocol machinery that died with it *)
   else begin
-  let payload = Packet.to_bytes pkt in
+  let pad = if t.cfg.ip_header_mode then ip_pad else 0 in
   let payload =
-    if t.cfg.ip_header_mode then Bytes.cat (Bytes.make ip_pad '\000') payload
-    else payload
+    match from_mem with
+    | None -> Packet.to_bytes ~pad pkt
+    | Some (mem, pos, len) -> Packet.to_bytes_from ~pad pkt mem ~pos ~len
   in
   let pre_cost =
     pre_cost
@@ -567,8 +572,8 @@ let send_pkt_gen t ?(pre_cost = 0) ~dst_addr pkt k =
     ~ethertype:Vnet.Frame.ethertype_kernel payload k
   end
 
-let send_pkt_k t ?pre_cost ~dst_host pkt k =
-  send_pkt_gen t ?pre_cost ~dst_addr:(addr_for t ~dst_host) pkt k
+let send_pkt_k t ?pre_cost ?from_mem ~dst_host pkt k =
+  send_pkt_gen t ?pre_cost ?from_mem ~dst_addr:(addr_for t ~dst_host) pkt k
 
 let send_pkt t ?pre_cost ~dst_host pkt =
   send_pkt_k t ?pre_cost ~dst_host pkt ignore
@@ -599,6 +604,11 @@ let grant_of_msg msg ~granted_to =
   | None -> None
   | Some (g_access, g_ptr, g_len) ->
       Some { granted_to; g_access; g_ptr; g_len }
+
+(* Place the first [len] bytes of [pkt]'s data, straight from the
+   frame, at [pos] of [mem]. *)
+let blit_data mem ~pos (pkt : Packet.t) ~len =
+  Mem.blit_in mem ~pos pkt.Packet.buf ~src_off:pkt.Packet.data_off ~len
 
 (* ------------------------------------------------------------------ *)
 (* Message delivery to receivers                                       *)
@@ -639,7 +649,7 @@ let deliver_segment t ~(entry : queued) ~seg ~(recv : desc) =
       else
         match Hashtbl.find_opt t.aliens entry.q_src with
         | Some al when al.al_seq = entry.q_seq ->
-            let count = min (Bytes.length al.al_data) segsize in
+            let count = min al.al_send.Packet.data_len segsize in
             let count =
               if Mem.valid recv.d_mem ~pos:segptr ~len:count then count else 0
             in
@@ -647,8 +657,7 @@ let deliver_segment t ~(entry : queued) ~seg ~(recv : desc) =
               (* The NIC already paid the per-byte copy; placing the data in
                  its final location costs only the segment bookkeeping. *)
               charge_async t m.Vhw.Cost_model.segment_handling_ns;
-              Mem.blit_in recv.d_mem ~pos:segptr al.al_data ~src_off:0
-                ~len:count
+              blit_data recv.d_mem ~pos:segptr al.al_send ~len:count
             end;
             count
         | Some _ | None -> 0)
@@ -1049,13 +1058,13 @@ let stream_mt t (mto : mt_out) ~from =
     end
     else begin
       let len = min t.cfg.max_packet_data (mto.mto_total - cursor) in
-      let data = Mem.read mto.mto_mem ~pos:(mto.mto_src_ptr + cursor) ~len in
       let pkt =
         Packet.make ~op:Packet.Data_mt ~src_pid:mto.mto_src
           ~dst_pid:mto.mto_dst ~seq:mto.mto_seq ~offset:cursor
-          ~total:mto.mto_total ~aux:mto.mto_dst_ptr ~data ()
+          ~total:mto.mto_total ~aux:mto.mto_dst_ptr ()
       in
       send_pkt_k t ~pre_cost:m.Vhw.Cost_model.data_pkt_op_ns
+        ~from_mem:(mto.mto_mem, mto.mto_src_ptr + cursor, len)
         ~dst_host:(Pid.host mto.mto_dst) pkt (fun () -> go (cursor + len))
     end
   in
@@ -1077,12 +1086,12 @@ let stream_mf t ~(src_desc : desc) ~requester ~seq ~base_ptr ~total ~from =
       charge_async t m.Vhw.Cost_model.server_bookkeep_ns
     else begin
       let len = min t.cfg.max_packet_data (total - cursor) in
-      let data = Mem.read src_desc.d_mem ~pos:(base_ptr + cursor) ~len in
       let pkt =
         Packet.make ~op:Packet.Data_mf ~src_pid:src_desc.d_pid
-          ~dst_pid:requester ~seq ~offset:cursor ~total ~data ()
+          ~dst_pid:requester ~seq ~offset:cursor ~total ()
       in
       send_pkt_k t ~pre_cost:m.Vhw.Cost_model.data_pkt_op_ns
+        ~from_mem:(src_desc.d_mem, base_ptr + cursor, len)
         ~dst_host:(Pid.host requester) pkt (fun () -> go (cursor + len))
     end
   in
@@ -1188,7 +1197,7 @@ let handle_send_pkt t (pkt : Packet.t) =
                 al_reply = None;
                 al_fwd = Pid.nil;
                 al_msg = Msg.copy pkt.Packet.msg;
-                al_data = pkt.Packet.data;
+                al_send = pkt;
                 al_replied_at = 0;
               }
             in
@@ -1217,14 +1226,12 @@ let handle_reply_pkt t (pkt : Packet.t) =
           | None -> ());
           (* ReplyWithSegment: deposit the appended segment at the dest
              pointer, provided this process granted write access there. *)
-          if Bytes.length pkt.Packet.data > 0 then begin
-            let ptr = pkt.Packet.offset
-            and len = Bytes.length pkt.Packet.data in
+          if pkt.Packet.data_len > 0 then begin
+            let ptr = pkt.Packet.offset and len = pkt.Packet.data_len in
             if
               grant_allows d ~who:pkt.Packet.src_pid ~ptr ~len
                 ~need_write:true
-            then
-              Mem.blit_in d.d_mem ~pos:ptr pkt.Packet.data ~src_off:0 ~len
+            then blit_data d.d_mem ~pos:ptr pkt ~len
           end;
           d.d_grant <- None;
           finish_send t d Ok
@@ -1339,8 +1346,7 @@ let handle_data_mt t (pkt : Packet.t) =
   | Some mti ->
       if mti.mti_complete then ack ()
       else begin
-        let off = pkt.Packet.offset
-        and len = Bytes.length pkt.Packet.data in
+        let off = pkt.Packet.offset and len = pkt.Packet.data_len in
         if off > mti.mti_expected then nak mti.mti_expected
         else if off < mti.mti_expected then
           (* Duplicate; data already placed. *)
@@ -1348,8 +1354,7 @@ let handle_data_mt t (pkt : Packet.t) =
         else begin
           (match find_proc t mti.mti_dst with
           | Some dd when len > 0 ->
-              Mem.blit_in dd.d_mem ~pos:(mti.mti_dst_ptr + off)
-                pkt.Packet.data ~src_off:0 ~len
+              blit_data dd.d_mem ~pos:(mti.mti_dst_ptr + off) pkt ~len
           | Some _ | None -> ());
           mti.mti_expected <- off + len;
           if mti.mti_expected >= mti.mti_total then begin
@@ -1364,7 +1369,7 @@ let handle_data_mf t (pkt : Packet.t) =
   match Hashtbl.find_opt t.mf_outs pkt.Packet.seq with
   | None -> ()
   | Some mfo ->
-      let off = pkt.Packet.offset and len = Bytes.length pkt.Packet.data in
+      let off = pkt.Packet.offset and len = pkt.Packet.data_len in
       if off > mfo.mfo_expected then begin
         (* NAK each gap once; a lost NAK is recovered by the request
            timeout, which re-enables NAKing. *)
@@ -1386,8 +1391,7 @@ let handle_data_mf t (pkt : Packet.t) =
             ~dst_host:(Pid.host mfo.mfo_src)
             ~sample_ns:(Some (Vsim.Engine.now t.eng - mfo.mfo_req_at));
         if len > 0 then
-          Mem.blit_in mfo.mfo_mem ~pos:(mfo.mfo_dst_ptr + off) pkt.Packet.data
-            ~src_off:0 ~len;
+          blit_data mfo.mfo_mem ~pos:(mfo.mfo_dst_ptr + off) pkt ~len;
         mfo.mfo_expected <- off + len;
         mfo.mfo_nak_at <- -1;
         (* Fresh data: the source is alive, push the timeout out and
@@ -1505,18 +1509,17 @@ let handle_frame t (frame : Vnet.Frame.t) =
        power went out fall on the floor *)
   else begin
     let payload = frame.Vnet.Frame.payload in
-    let payload, extra =
+    (* In [ip_header_mode] the packet starts past the IP header room. *)
+    let off, extra =
       if t.cfg.ip_header_mode then
-        ( Bytes.sub payload ip_pad (Bytes.length payload - ip_pad),
-          (model t).Vhw.Cost_model.ip_header_extra_ns )
-      else (payload, 0)
+        (ip_pad, (model t).Vhw.Cost_model.ip_header_extra_ns)
+      else (0, 0)
     in
+    let plen = Bytes.length payload - off in
     let extra =
-      extra
-      + (if t.cfg.process_server_mode then relay_cost t (Bytes.length payload)
-         else 0)
+      extra + (if t.cfg.process_server_mode then relay_cost t plen else 0)
     in
-    match Packet.of_bytes payload with
+    match Packet.of_bytes ~off payload with
     | Error e ->
         if Vsim.Trace.tracing t.eng then
           Vsim.Trace.event t.eng
@@ -1524,7 +1527,7 @@ let handle_frame t (frame : Vnet.Frame.t) =
                {
                  host = t.khost;
                  reason = "decode: " ^ e;
-                 bytes = Bytes.length payload;
+                 bytes = plen;
                })
     | Ok pkt ->
         t.s_rx <- t.s_rx + 1;
@@ -1555,7 +1558,7 @@ let handle_frame t (frame : Vnet.Frame.t) =
                      src = Pid.to_int pkt.Packet.src_pid;
                      dst = Pid.to_int pkt.Packet.dst_pid;
                      seq = pkt.Packet.seq;
-                     bytes = Bytes.length payload;
+                     bytes = plen;
                    });
             match pkt.Packet.op with
             | Packet.Send -> handle_send_pkt t pkt
@@ -2075,7 +2078,7 @@ let forward t msg ~from_pid ~to_pid =
           al.al_fwd <- to_pid;
           let pkt =
             Packet.make ~op:Packet.Send ~src_pid:from_pid ~dst_pid:to_pid
-              ~seq:al.al_seq ~msg ~data:al.al_data ()
+              ~seq:al.al_seq ~msg ~data:(Packet.data al.al_send) ()
           in
           send_pkt t ~dst_host:(Pid.host to_pid) pkt;
           let notice =

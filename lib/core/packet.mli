@@ -58,7 +58,15 @@ type t = {
   total : int;
   aux : int;
   msg : Msg.t;
-  data : Bytes.t;  (** appended data; may be empty *)
+  buf : Bytes.t;
+      (** holds the appended data at [data_off, data_off + data_len).  A
+          decoded packet's [buf] is the frame payload itself, a view and
+          not a copy.  That is safe because no one writes a payload once
+          it is on the wire: the medium hands one frame to every
+          receiver of a broadcast, and corruption is only a flag on the
+          frame. *)
+  data_off : int;
+  data_len : int;  (** appended bytes; may be 0 *)
 }
 
 val make :
@@ -73,6 +81,10 @@ val make :
   ?data:Bytes.t ->
   unit ->
   t
+(** [data] is taken as it is, not copied. *)
+
+val data : t -> Bytes.t
+(** A fresh copy of the appended data. *)
 
 val header_bytes : int
 (** 64: the fixed header block, user message included. *)
@@ -80,8 +92,40 @@ val header_bytes : int
 val wire_length : t -> int
 (** Bytes this packet occupies as a frame payload. *)
 
-val to_bytes : t -> Bytes.t
-val of_bytes : Bytes.t -> (t, string) result
+(** {1 The data path}
+
+    A MoveTo or MoveFrom fragment crosses the host heap once on its way
+    from the sender's space to the receiver's:
+
+    - the sender encodes it with {!to_bytes_from}, which writes the
+      header and copies the fragment straight out of the sender's
+      {!Mem.t} into the one frame buffer;
+    - the medium delivers that buffer, shared, to every receiver;
+    - the receiver decodes it with {!of_bytes} into a view and copies
+      the data from the frame into its own {!Mem.t}.
+
+    That is two copies per fragment, the ones the paper's cost analysis
+    counts (to and from the interface).  There used to be four: a read
+    out of the space, the header-and-data encode, a [Bytes.sub] of the
+    data on decode and the final blit; [ip_header_mode] added two more,
+    one to prepend the IP header room and one to strip it.  Only the
+    32-byte user message is still copied on decode. *)
+
+val to_bytes : ?pad:int -> t -> Bytes.t
+(** The frame payload: [pad] zero bytes (default 0; room for an IP
+    header), the header, then the appended data. *)
+
+val to_bytes_from :
+  ?pad:int -> t -> Mem.t -> pos:int -> len:int -> Bytes.t
+(** [to_bytes] of a fragment whose [len] appended bytes are read from
+    [pos] of the space at this instant, straight into the frame.  The
+    packet's own data must be empty.  Raises [Invalid_argument] on a bad
+    range, as {!Mem.blit_out} does. *)
+
+val of_bytes : ?off:int -> Bytes.t -> (t, string) result
+(** Decode the packet that starts at [off] (default 0) and runs to the
+    end of the buffer.  The result's data is a view into the buffer.
+    Raises [Invalid_argument] if [off] lies outside the buffer. *)
 
 val op_to_string : op -> string
 val pp : Format.formatter -> t -> unit

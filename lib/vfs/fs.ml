@@ -88,23 +88,31 @@ let get32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
 (* Metadata blocks (superblock, bitmap, inode table, indirect tables) are
    always cached: any real file server keeps them in memory, and the
    experiments that disable the cache mean *data* caching — Table 6-2's
-   one-disk-access-per-page condition. *)
-let read_block ?(meta = false) t b =
+   one-disk-access-per-page condition.
+
+   [peek_block] is read-only access: it returns the transaction's or the
+   cache's own buffer, which the caller must not write.  Nothing writes
+   those buffers in place either ([write_block] replaces them), so a
+   peeked block stays a stable snapshot.  Callers that modify a block
+   before writing it back take [read_block]'s private copy. *)
+let peek_block ?(meta = false) t b =
   match t.txn with
   | Some tx when Hashtbl.mem tx.tbuf b ->
       t.hits <- t.hits + 1;
-      Bytes.copy (Hashtbl.find tx.tbuf b)
+      Hashtbl.find tx.tbuf b
   | _ -> (
       let cached = meta || t.cache_on in
       match if cached then Hashtbl.find_opt t.cache b else None with
       | Some data ->
           t.hits <- t.hits + 1;
-          Bytes.copy data
+          data
       | None ->
           t.misses <- t.misses + 1;
           let data = Disk.read t.dsk b in
-          if cached then Hashtbl.replace t.cache b (Bytes.copy data);
+          if cached then Hashtbl.replace t.cache b data;
           data)
+
+let read_block ?meta t b = Bytes.copy (peek_block ?meta t b)
 
 (* Write-through: the cache is updated and the disk written.  Under an
    open transaction the write is buffered instead; it reaches cache and
@@ -388,7 +396,7 @@ let read_inode t inum =
   if inum < 0 || inum >= t.geo.ninodes then Error Bad_argument
   else begin
     let blk, off = inode_location t inum in
-    let bytes = read_block ~meta:true t blk in
+    let bytes = peek_block ~meta:true t blk in
     let ino =
       {
         i_used = Bytes.get bytes off <> '\000';
@@ -428,15 +436,21 @@ let alloc_inode t =
   in
   scan 1 (* inode 0 is the root directory *)
 
-(* Map a file block index to a disk block; optionally allocating.
-   [on_alloc] observes every block newly allocated on this call (data,
-   and the indirect table itself), so the caller can unwind them if a
-   later step of the same operation fails. *)
-let bmap t (ino : inode) ~inum ~idx ~alloc ?(on_alloc = ignore) () =
+(* The disk block behind file block [idx] (in range), or 0 for a hole.
+   Reads only. *)
+let block_of t (ino : inode) idx =
+  if idx < n_direct then ino.i_direct.(idx)
+  else if ino.i_indirect = 0 then 0
+  else get32 (peek_block ~meta:true t ino.i_indirect) (4 * (idx - n_direct))
+
+(* Map a file block index to a disk block, allocating it (and the
+   indirect table) if it is a hole.  [on_alloc] observes every block newly
+   allocated on this call, so the caller can unwind them if a later step
+   of the same operation fails. *)
+let bmap t (ino : inode) ~inum ~idx ~on_alloc =
   if idx < 0 || idx >= max_blocks_per_file then Error Too_big
   else if idx < n_direct then begin
-    if ino.i_direct.(idx) <> 0 then Ok (Some ino.i_direct.(idx))
-    else if not alloc then Ok None
+    if ino.i_direct.(idx) <> 0 then Ok ino.i_direct.(idx)
     else
       match alloc_block t with
       | Error e -> Error e
@@ -444,15 +458,14 @@ let bmap t (ino : inode) ~inum ~idx ~alloc ?(on_alloc = ignore) () =
           on_alloc blk;
           ino.i_direct.(idx) <- blk;
           write_inode t inum ino;
-          Ok (Some blk)
+          Ok blk
   end
   else begin
     let slot = idx - n_direct in
     let with_indirect iblk =
       let table = read_block ~meta:true t iblk in
       let ptr = get32 table (4 * slot) in
-      if ptr <> 0 then Ok (Some ptr)
-      else if not alloc then Ok None
+      if ptr <> 0 then Ok ptr
       else
         match alloc_block t with
         | Error e -> Error e
@@ -460,10 +473,9 @@ let bmap t (ino : inode) ~inum ~idx ~alloc ?(on_alloc = ignore) () =
             on_alloc blk;
             set32 table (4 * slot) blk;
             write_block ~meta:true t iblk table;
-            Ok (Some blk)
+            Ok blk
     in
     if ino.i_indirect <> 0 then with_indirect ino.i_indirect
-    else if not alloc then Ok None
     else
       match alloc_block t with
       | Error e -> Error e
@@ -476,31 +488,53 @@ let bmap t (ino : inode) ~inum ~idx ~alloc ?(on_alloc = ignore) () =
 
 (* ---------------- byte-level read/write ---------------- *)
 
-let read_range t ~inum ~pos ~len =
+(* What a hole reads as.  Never written. *)
+let zero_block = Bytes.make block_size '\000'
+
+(* Check a read of [len] bytes at [pos] and clamp it to the file: the
+   inode and the byte count.  Every error a read can meet is found here,
+   so [iter_range] never fails after handing out a piece. *)
+let open_range t ~inum ~pos ~len =
   if pos < 0 || len < 0 then Error Bad_argument
   else
     match read_inode t inum with
     | Error e -> Error e
     | Ok ino when not ino.i_used -> Error Not_found
     | Ok ino ->
-        let len = max 0 (min len (ino.i_size - pos)) in
-        let out = Bytes.make len '\000' in
-        let rec go off =
-          if off >= len then Ok out
-          else begin
-            let abs = pos + off in
-            let idx = abs / block_size and boff = abs mod block_size in
-            let n = min (block_size - boff) (len - off) in
-            match bmap t ino ~inum ~idx ~alloc:false () with
-            | Error e -> Error e
-            | Ok None -> go (off + n) (* hole: zeros *)
-            | Ok (Some blk) ->
-                let data = read_block t blk in
-                Bytes.blit data boff out off n;
-                go (off + n)
-          end
-        in
-        go 0
+        let n = max 0 (min len (ino.i_size - pos)) in
+        if n > 0 && (pos + n - 1) / block_size >= max_blocks_per_file then
+          Error Too_big (* a size no write can produce: a damaged inode *)
+        else Ok (ino, n)
+
+(* Hand [f] the bytes [pos, pos + len) of the file, block piece by block
+   piece and in order: [f buf ~src_off ~dst_off ~len] says bytes
+   [src_off, src_off + len) of [buf] are bytes [dst_off, dst_off + len) of
+   the range.  [buf] is a peeked block, or {!zero_block} for a hole. *)
+let iter_range t ino ~pos ~len f =
+  let rec go off =
+    if off < len then begin
+      let abs = pos + off in
+      let boff = abs mod block_size in
+      let n = min (block_size - boff) (len - off) in
+      let buf =
+        match block_of t ino (abs / block_size) with
+        | 0 -> zero_block
+        | blk -> peek_block t blk
+      in
+      f buf ~src_off:boff ~dst_off:off ~len:n;
+      go (off + n)
+    end
+  in
+  go 0
+
+let read_range t ~inum ~pos ~len =
+  match open_range t ~inum ~pos ~len with
+  | Error e -> Error e
+  | Ok (ino, n) ->
+      let out = Bytes.create n in
+      iter_range t ino ~pos ~len:n (fun buf ~src_off ~dst_off ~len ->
+          Bytes.blit buf src_off out dst_off len);
+      Ok out
 
 let write_range t ~inum ~pos data =
   let len = Bytes.length data in
@@ -552,14 +586,11 @@ let write_range t ~inum ~pos data =
             let abs = pos + off in
             let idx = abs / block_size and boff = abs mod block_size in
             let n = min (block_size - boff) (len - off) in
-            match bmap t ino ~inum ~idx ~alloc:true ~on_alloc () with
+            match bmap t ino ~inum ~idx ~on_alloc with
             | Error e ->
                 unwind ();
                 Error e
-            | Ok None ->
-                unwind ();
-                Error No_space
-            | Ok (Some blk) ->
+            | Ok blk ->
                 let cur =
                   if n = block_size then Bytes.make block_size '\000'
                   else read_block t blk
@@ -683,7 +714,7 @@ let mount dsk =
   if Disk.block_size dsk <> block_size then Error Bad_argument
   else begin
     let t0 = make_t dsk (compute_geometry ~nblocks:(Disk.blocks dsk) ~ninodes:1) in
-    let sb = read_block ~meta:true t0 0 in
+    let sb = peek_block ~meta:true t0 0 in
     if get32 sb 0 <> magic then Error Not_formatted
     else begin
       let geo =
@@ -746,7 +777,7 @@ let lookup t name =
 let free_file_blocks t (ino : inode) =
   Array.iter (fun blk -> if blk <> 0 then free_block t blk) ino.i_direct;
   if ino.i_indirect <> 0 then begin
-    let table = read_block ~meta:true t ino.i_indirect in
+    let table = peek_block ~meta:true t ino.i_indirect in
     for i = 0 to ptrs_per_block - 1 do
       let ptr = get32 table (4 * i) in
       if ptr <> 0 then free_block t ptr
@@ -785,6 +816,14 @@ let unlink t name = with_lock t (fun () -> with_txn t (fun () -> unlink_op t nam
 let read t ~inum ~pos ~len =
   with_lock t (fun () -> read_range t ~inum ~pos ~len)
 
+let read_blocks t ~inum ~pos ~len f =
+  with_lock t (fun () ->
+      match open_range t ~inum ~pos ~len with
+      | Error e -> Error e
+      | Ok (ino, n) ->
+          iter_range t ino ~pos ~len:n f;
+          Ok n)
+
 let write t ~inum ~pos data =
   with_lock t (fun () -> with_txn t (fun () -> write_range t ~inum ~pos data))
 
@@ -812,7 +851,7 @@ let check t =
       (* The bitmap, decoded. *)
       let used = Array.make geo.nblocks false in
       for bi = 0 to geo.bitmap_blocks - 1 do
-        let bytes = read_block ~meta:true t (geo.bitmap_start + bi) in
+        let bytes = peek_block ~meta:true t (geo.bitmap_start + bi) in
         for i = 0 to block_size - 1 do
           let v = Char.code (Bytes.get bytes i) in
           if v <> 0 then
@@ -857,7 +896,7 @@ let check t =
             if ino.i_indirect <> 0 then begin
               claim inum "indirect table" ino.i_indirect;
               if ino.i_indirect > 0 && ino.i_indirect < geo.nblocks then begin
-                let table = read_block ~meta:true t ino.i_indirect in
+                let table = peek_block ~meta:true t ino.i_indirect in
                 for i = 0 to ptrs_per_block - 1 do
                   let ptr = get32 table (4 * i) in
                   if ptr <> 0 then claim inum "indirect pointer" ptr

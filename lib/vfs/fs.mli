@@ -79,6 +79,22 @@ val read : t -> inum:int -> pos:int -> len:int -> (Bytes.t, error) result
 (** Short reads at end of file return fewer bytes; reads past the end
     return empty. *)
 
+val read_blocks :
+  t ->
+  inum:int ->
+  pos:int ->
+  len:int ->
+  (Bytes.t -> src_off:int -> dst_off:int -> len:int -> unit) ->
+  (int, error) result
+(** {!read} without the output buffer: the bytes are handed over block
+    piece by block piece, in order, and the count read is returned.
+    [f buf ~src_off ~dst_off ~len] says that bytes [src_off, src_off +
+    len) of [buf] are bytes [dst_off, dst_off + len) of the read, so
+    the pieces tile [0, count) exactly once.  [buf] is the block cache's
+    own buffer (a shared zero block for a hole): copy out of it, never
+    write it, and do not keep it past the call.  Every error is found
+    before the first piece, so on [Error] [f] has not been called. *)
+
 val write : t -> inum:int -> pos:int -> Bytes.t -> (unit, error) result
 (** Extends the file as needed (holes read back as zeros). *)
 

@@ -258,6 +258,11 @@ let fs_error_status : Fs.error -> Protocol.rstatus = function
 let fs_work t = if t.cfg.fs_process_ns > 0 then
     Vhw.Cpu.compute (K.cpu t.kernel) t.cfg.fs_process_ns
 
+(* A {!Fs.read_blocks} consumer that places each piece at [pos] + its
+   offset in [mem]: the block's one copy, from the cache into the space. *)
+let blit_to mem ~pos buf ~src_off ~dst_off ~len =
+  Vkernel.Mem.blit_in mem ~pos:(pos + dst_off) buf ~src_off ~len
+
 let string_of_segment mem ~count =
   let bytes = Vkernel.Mem.read mem ~pos:scratch_ptr ~len:count in
   Bytes.to_string bytes
@@ -272,9 +277,11 @@ let maybe_read_ahead t (f : open_file) ~block =
   if t.cfg.read_ahead then begin
     match Fs.size t.fs ~inum:f.of_inum with
     | Ok sz when (block + 1) * Fs.block_size < sz ->
+        (* Only the disk access matters: the bytes stay in the cache. *)
         (match
-           Fs.read t.fs ~inum:f.of_inum ~pos:((block + 1) * Fs.block_size)
-             ~len:Fs.block_size
+           Fs.read_blocks t.fs ~inum:f.of_inum
+             ~pos:((block + 1) * Fs.block_size) ~len:Fs.block_size
+             (fun _ ~src_off:_ ~dst_off:_ ~len:_ -> ())
          with
         | Ok _ | Error _ -> ())
     | Ok _ | Error _ -> ()
@@ -388,13 +395,12 @@ let handle_request t ~mem ~msg ~src ~seg_count =
               let count = min (min count Fs.block_size) dlen in
               fs_work t;
               match
-                Fs.read t.fs ~inum:f.of_inum ~pos:(block * Fs.block_size)
-                  ~len:count
+                Fs.read_blocks t.fs ~inum:f.of_inum
+                  ~pos:(block * Fs.block_size) ~len:count
+                  (blit_to mem ~pos:scratch_ptr)
               with
               | Error e -> reply (fs_error_status e) 0
-              | Ok data ->
-                  let n = Bytes.length data in
-                  Vkernel.Mem.write mem ~pos:scratch_ptr data;
+              | Ok n ->
                   Msg.clear_segment msg;
                   Protocol.encode_reply_ext msg ~status:Protocol.Sok ~value:n
                     ~inum:f.of_inum ~version:(file_version t ~inum:f.of_inum);
@@ -451,17 +457,16 @@ let handle_request t ~mem ~msg ~src ~seg_count =
               let count = min (min count Fs.block_size) dlen in
               fs_work t;
               match
-                Fs.read t.fs ~inum:f.of_inum ~pos:(block * Fs.block_size)
-                  ~len:count
+                Fs.read_blocks t.fs ~inum:f.of_inum
+                  ~pos:(block * Fs.block_size) ~len:count
+                  (blit_to mem ~pos:scratch_ptr)
               with
               | Error e -> reply (fs_error_status e) 0
-              | Ok data ->
-                  let n = Bytes.length data in
-                  Vkernel.Mem.write mem ~pos:scratch_ptr data;
-                  (match
-                     K.move_to t.kernel ~dst_pid:src ~dst:dptr
-                       ~src:scratch_ptr ~count:n
-                   with
+              | Ok n -> (
+                  match
+                    K.move_to t.kernel ~dst_pid:src ~dst:dptr
+                      ~src:scratch_ptr ~count:n
+                  with
                   | K.Ok -> reply Protocol.Sok n
                   | K.Nonexistent | K.Bad_address | K.No_permission
                   | K.Too_big | K.Retryable | K.Dead ->
@@ -502,24 +507,26 @@ let handle_request t ~mem ~msg ~src ~seg_count =
           | Some f -> (
               t.n_execs <- t.n_execs + 1;
               fs_work t;
-              let rec scan b remaining sum =
-                if remaining = 0 then Ok sum
+              let sum = ref 0 in
+              let add buf ~src_off ~dst_off:_ ~len =
+                for i = src_off to src_off + len - 1 do
+                  sum := (!sum + Char.code (Bytes.get buf i)) land 0xFFFF_FFFF
+                done
+              in
+              let rec scan b remaining =
+                if remaining = 0 then Ok !sum
                 else
                   match
-                    Fs.read t.fs ~inum:f.of_inum ~pos:(b * Fs.block_size)
-                      ~len:Fs.block_size
+                    Fs.read_blocks t.fs ~inum:f.of_inum
+                      ~pos:(b * Fs.block_size) ~len:Fs.block_size add
                   with
                   | Error e -> Error e
-                  | Ok data ->
+                  | Ok _ ->
                       Vhw.Cpu.compute (K.cpu t.kernel)
                         t.cfg.exec_compute_ns_per_page;
-                      let s = ref sum in
-                      Bytes.iter
-                        (fun c -> s := (!s + Char.code c) land 0xFFFF_FFFF)
-                        data;
-                      scan (b + 1) (remaining - 1) !s
+                      scan (b + 1) (remaining - 1)
               in
-              match scan block count 0 with
+              match scan block count with
               | Ok sum -> reply Protocol.Sok sum
               | Error e -> reply (fs_error_status e) 0))
       | Protocol.Load_program -> (
@@ -536,11 +543,12 @@ let handle_request t ~mem ~msg ~src ~seg_count =
               | Error e -> reply (fs_error_status e) 0
               | Ok sz -> (
                   let n = min (min sz dlen) count in
-                  match Fs.read t.fs ~inum:f.of_inum ~pos:0 ~len:n with
+                  match
+                    Fs.read_blocks t.fs ~inum:f.of_inum ~pos:0 ~len:n
+                      (blit_to mem ~pos:load_ptr)
+                  with
                   | Error e -> reply (fs_error_status e) 0
-                  | Ok data ->
-                      let n = Bytes.length data in
-                      Vkernel.Mem.write mem ~pos:load_ptr data;
+                  | Ok n ->
                       let unit_sz = max 1 t.cfg.transfer_unit in
                       let rec push off ok =
                         if (not ok) || off >= n then ok

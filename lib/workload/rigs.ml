@@ -78,6 +78,10 @@ let gettime ~cpu_model ?seed () =
       out := (Vsim.Engine.now (K.engine k) - t0) / 50);
   !out
 
+(* The movers grant their whole default space, so every in-range
+   [count] succeeds. *)
+let move_grant = K.default_config.K.default_mem_size
+
 let move_remote ?(trials = 30) ~cpu_model ~medium_config ~count ~to_remote
     ?seed () =
   let tb = Testbed.create ?seed ~cpu_model ~medium_config ~hosts:2 () in
@@ -108,7 +112,7 @@ let move_remote ?(trials = 30) ~cpu_model ~medium_config ~count ~to_remote
   in
   as_process tb ~host:2 (fun _ ->
       let msg = Msg.create () in
-      Msg.set_segment msg Msg.Read_write ~ptr:0 ~len:(128 * 1024);
+      Msg.set_segment msg Msg.Read_write ~ptr:0 ~len:move_grant;
       Msg.set_no_piggyback msg;
       ignore (K.send k2 msg mover));
   !out
@@ -135,7 +139,7 @@ let move_local ?(trials = 30) ~cpu_model ~count ~to_remote ?seed () =
   in
   as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
-      Msg.set_segment msg Msg.Read_write ~ptr:0 ~len:(128 * 1024);
+      Msg.set_segment msg Msg.Read_write ~ptr:0 ~len:move_grant;
       Msg.set_no_piggyback msg;
       ignore (K.send k msg mover));
   !out

@@ -1,6 +1,6 @@
 (* Filesystem tests, including a model-based random-operations check. *)
 
-let with_fs ?(blocks = 2048) f =
+let with_fs ?(blocks = 2048) ?(journal_blocks = 0) f =
   let eng = Vsim.Engine.create () in
   let disk =
     Vfs.Disk.create eng ~latency:(Vfs.Disk.Fixed 0) ~blocks
@@ -9,7 +9,7 @@ let with_fs ?(blocks = 2048) f =
   let result = ref None in
   let (_ : Vsim.Proc.t) =
     Vsim.Proc.spawn eng (fun () ->
-        Vfs.Fs.format disk ~ninodes:64 ();
+        Vfs.Fs.format disk ~journal_blocks ~ninodes:64 ();
         match Vfs.Fs.mount disk with
         | Error e -> Alcotest.failf "mount: %s" (Vfs.Fs.error_to_string e)
         | Ok fs -> result := Some (f fs))
@@ -189,6 +189,116 @@ let test_model_based =
                   Bytes.equal back (Bytes.sub reference 0 !ref_size))
             ops))
 
+(* [Fs.read_blocks] assembled into one buffer.  The pieces must tile
+   the read in order: each starts where the previous one ended, and the
+   count returned is where the last one ends. *)
+let read_by_pieces fs ~inum ~pos ~len =
+  let out = Buffer.create 512 in
+  match
+    Vfs.Fs.read_blocks fs ~inum ~pos ~len (fun buf ~src_off ~dst_off ~len ->
+        if dst_off <> Buffer.length out then
+          Alcotest.failf "piece at %d, want %d" dst_off (Buffer.length out);
+        Buffer.add_subbytes out buf src_off len)
+  with
+  | Error e -> Error e
+  | Ok n ->
+      if n <> Buffer.length out then
+        Alcotest.failf "count %d, pieces cover %d" n (Buffer.length out);
+      Ok (Buffer.to_bytes out)
+
+type op = Write of int * int | Read of int * int
+
+(* Differential: the piecewise read equals [Fs.read] on every read of a
+   random sequence of sparse writes and reads — holes, short and empty
+   reads past the end, negative positions, blocks behind the indirect
+   table (past 6 KB) and reads right after a write — on a plain and on a
+   journaled filesystem.  On the journaled one every read follows a
+   committed transaction, and the directory reads inside [create]'s open
+   transaction go through the same path. *)
+let test_read_blocks_matches_read =
+  let op_gen =
+    QCheck.Gen.(
+      list_size (int_range 1 25)
+        (map3
+           (fun w pos len -> if w then Write (pos, len) else Read (pos - 100, len))
+           bool
+           (int_bound (Vfs.Fs.max_file_size + 1000))
+           (int_bound 3000)))
+  in
+  let show = function
+    | Write (p, l) -> Printf.sprintf "write %d+%d" p l
+    | Read (p, l) -> Printf.sprintf "read %d+%d" p l
+  in
+  Util.qtest ~count:40 "read_blocks = read (holes, EOF, indirect, journal)"
+    (QCheck.make
+       ~print:QCheck.Print.(pair bool (list show))
+       QCheck.Gen.(pair bool op_gen))
+    (fun (journaled, ops) ->
+      with_fs ~blocks:4096 ~journal_blocks:(if journaled then 300 else 0)
+        (fun fs ->
+          let inum = get (Vfs.Fs.create fs "diff") in
+          let agree ~pos ~len =
+            match read_by_pieces fs ~inum ~pos ~len, Vfs.Fs.read fs ~inum ~pos ~len with
+            | Ok a, Ok b -> Bytes.equal a b
+            | Error e, Error f -> e = f
+            | Ok _, Error _ | Error _, Ok _ -> false
+          in
+          List.for_all
+            (function
+              | Write (pos, len) ->
+                  let data =
+                    Bytes.init len (fun i -> Vworkload.Testbed.pattern_byte (pos + i))
+                  in
+                  ignore (Vfs.Fs.write fs ~inum ~pos data);
+                  agree ~pos:(max 0 (pos - 700)) ~len:(len + 1400)
+              | Read (pos, len) -> agree ~pos ~len)
+            ops
+          && agree ~pos:0 ~len:Vfs.Fs.max_file_size))
+
+(* A read issued while a write's transaction is open (the writer is
+   blocked on the disk mid-transaction) waits for the filesystem lock
+   and sees the committed write, through either read path. *)
+let test_read_blocks_during_transaction () =
+  let eng = Vsim.Engine.create () in
+  let disk =
+    Vfs.Disk.create eng ~latency:(Vfs.Disk.Fixed (Vsim.Time.ms 1)) ~blocks:2048
+      ~block_size:Vfs.Fs.block_size ()
+  in
+  let old_data = Bytes.make 1500 'a' and patch = Bytes.make 700 'b' in
+  let expect = Bytes.copy old_data in
+  Bytes.blit patch 0 expect 100 700;
+  let checked = ref 0 in
+  let (_ : Vsim.Proc.t) =
+    Vsim.Proc.spawn eng (fun () ->
+        Vfs.Fs.format disk ~journal_blocks:64 ~ninodes:16 ();
+        let fs = get (Vfs.Fs.mount disk) in
+        let inum = get (Vfs.Fs.create fs "f") in
+        get (Vfs.Fs.write fs ~inum ~pos:0 old_data);
+        (* Every data block now comes from the disk, so the write below
+           suspends inside its transaction. *)
+        Vfs.Fs.set_cache_enabled fs false;
+        let writing = ref true in
+        let reader read () =
+          Alcotest.(check bool) "read issued mid-transaction" true !writing;
+          Alcotest.(check bytes) "sees the committed write" expect
+            (get (read ()));
+          incr checked
+        in
+        let (_ : Vsim.Proc.t) =
+          Vsim.Proc.spawn eng (fun () ->
+              get (Vfs.Fs.write fs ~inum ~pos:100 patch);
+              writing := false)
+        in
+        List.iter
+          (fun read -> ignore (Vsim.Proc.spawn eng (reader read) : Vsim.Proc.t))
+          [
+            (fun () -> read_by_pieces fs ~inum ~pos:0 ~len:1500);
+            (fun () -> Vfs.Fs.read fs ~inum ~pos:0 ~len:1500);
+          ])
+  in
+  Vsim.Engine.run eng;
+  Alcotest.(check int) "both readers finished" 2 !checked
+
 let suite =
   [
     Alcotest.test_case "create/lookup/unlink" `Quick test_create_lookup_unlink;
@@ -203,4 +313,7 @@ let suite =
     Alcotest.test_case "unformatted disk" `Quick test_unformatted;
     Alcotest.test_case "cache behaviour" `Quick test_cache_behaviour;
     test_model_based;
+    test_read_blocks_matches_read;
+    Alcotest.test_case "read_blocks during a transaction" `Quick
+      test_read_blocks_during_transaction;
   ]

@@ -147,6 +147,31 @@ let test_move_packet_count () =
   Alcotest.(check int) "mover packets" 65 s2.K.packets_sent;
   Alcotest.(check int) "granter packets" 2 s1.K.packets_sent
 
+(* A remote MoveTo copies each byte once out of the mover's space into
+   the frame and once out of the frame into the granter's space, and
+   allocates little besides the frames themselves.  The first move
+   warms the tables and gives the destination its private pages; the
+   second is counted, from the mover's call to its return. *)
+let test_move_to_allocation () =
+  let per_kb = ref nan in
+  let (_ : _) =
+    with_mover
+      ~mover_body:(fun k2 mem src ->
+        Vkernel.Mem.fill mem ~pos:0 ~len:65536 'd';
+        let move () = K.move_to k2 ~dst_pid:src ~dst:0 ~src:0 ~count:65536 in
+        Alcotest.check Util.status "warm-up move" K.Ok (move ());
+        let w0 = Util.allocated_words () in
+        Alcotest.check Util.status "counted move" K.Ok (move ());
+        per_kb := (Util.allocated_words () -. w0) /. 64.0)
+      ~granter_check:(fun _ _ -> ())
+      ()
+  in
+  (* 673 words per KB when each fragment was read out of the space, then
+     encoded, and its data copied again on decode; 434 with frames built
+     from memory and decoded to views. *)
+  if !per_kb >= 550.0 then
+    Alcotest.failf "%.0f words allocated per KB moved, want < 550" !per_kb
+
 let suite =
   [
     Alcotest.test_case "move_to integrity (64KB)" `Quick test_move_to_integrity;
@@ -157,4 +182,6 @@ let suite =
     Alcotest.test_case "zero-byte move" `Quick test_zero_byte_move;
     test_odd_sizes;
     Alcotest.test_case "move packet counts" `Quick test_move_packet_count;
+    Alcotest.test_case "remote move_to allocation" `Quick
+      test_move_to_allocation;
   ]

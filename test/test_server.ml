@@ -85,6 +85,28 @@ let test_load_program () =
       let expect = Bytes.init 65536 Util.pattern in
       Alcotest.(check bool) "program image exact" true (Bytes.equal got expect))
 
+(* The server hands each block straight from its cache into the load
+   buffer; the program then crosses the network in MoveTo frames.  The
+   first load warms the block cache and both spaces' pages; the second
+   is counted, from the client's call to its return. *)
+let test_load_program_allocation () =
+  let tb, _, _ = rig () in
+  let k2 = kernel_of tb 2 in
+  let per_kb = ref nan in
+  Util.run_as_process tb ~host:2 (fun _ ->
+      let conn = connect k2 in
+      let h = get (Vfs.Client.open_file conn "prog") in
+      let load () = get (Vfs.Client.load_program conn h ~buf:16384 ~max:65536) in
+      Alcotest.(check int) "warm-up load" 65536 (load ());
+      let w0 = Util.allocated_words () in
+      Alcotest.(check int) "counted load" 65536 (load ());
+      per_kb := (Util.allocated_words () -. w0) /. 64.0);
+  (* 1202 words per KB when the server copied every block out of the
+     cache and the file into a fresh buffer; 576 with pieces blitted
+     from the cache into the load buffer. *)
+  if !per_kb >= 900.0 then
+    Alcotest.failf "%.0f words allocated per KB served, want < 900" !per_kb
+
 let test_errors () =
   let tb, _, _ = rig () in
   let k2 = kernel_of tb 2 in
@@ -325,6 +347,8 @@ let suite =
     Alcotest.test_case "basic (MoveTo/MoveFrom) variants" `Quick
       test_basic_variants;
     Alcotest.test_case "load program" `Quick test_load_program;
+    Alcotest.test_case "load program allocation" `Quick
+      test_load_program_allocation;
     Alcotest.test_case "error replies" `Quick test_errors;
     Alcotest.test_case "delete" `Quick test_delete;
     Alcotest.test_case "sequential read + disk latency" `Quick

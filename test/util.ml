@@ -56,3 +56,10 @@ let status = Alcotest.testable Vkernel.Kernel.pp_status ( = )
 
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+
+(* Words allocated so far in either heap.  [Gc.minor_words] alone misses
+   blocks too big for the minor heap, which go straight to the major
+   one. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
